@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.stattests import STRONG_EVIDENCE_P, binom_tail_upper
-from ..core.vectorized import binom_tail_upper_batch, scalar_mode
+from ..core.stattests import STRONG_EVIDENCE_P
+from ..core.vectorized import binom_tail_upper_batch
 from .base import DataContext, ExperimentResult, check
 from .tables import render_table
 
@@ -50,14 +50,9 @@ def detection_power(
     """Monte-Carlo P(test rejects at level alpha | true share theta)."""
     rng = rng if rng is not None else np.random.default_rng(0)
     xs = rng.binomial(y, theta, size=trials)
-    if scalar_mode():
-        rejections = sum(
-            1 for x in xs if binom_tail_upper(int(x), y, theta0) < alpha
-        )
-    else:
-        rejections = int(
-            np.count_nonzero(binom_tail_upper_batch(xs, y, theta0) < alpha)
-        )
+    rejections = int(
+        np.count_nonzero(binom_tail_upper_batch(xs, y, theta0) < alpha)
+    )
     return rejections / trials
 
 

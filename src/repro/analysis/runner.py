@@ -26,19 +26,16 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
-import os
 import shutil
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from .. import obs
 from ..core.ppe import clear_prediction_cache
-from ..core.vectorized import SCALAR_ENV
 from ..datasets.builder import clear_memory_cache
 from ..datasets.cache import CacheStats, DatasetCache
 from .base import DEFAULT_SCALE, DataContext, ExperimentResult
@@ -510,23 +507,6 @@ def run_bench(
 # ----------------------------------------------------------------------
 # Scalar-vs-vectorized metrics benchmark
 # ----------------------------------------------------------------------
-@contextmanager
-def _scalar_env(enabled: bool):
-    """Temporarily force (or clear) the ``REPRO_AUDIT_SCALAR`` hatch."""
-    previous = os.environ.get(SCALAR_ENV)
-    if enabled:
-        os.environ[SCALAR_ENV] = "1"
-    else:
-        os.environ.pop(SCALAR_ENV, None)
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop(SCALAR_ENV, None)
-        else:
-            os.environ[SCALAR_ENV] = previous
-
-
 def _timed(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
     """(best wall time over ``repeats``, last result)."""
     best = math.inf
@@ -582,12 +562,14 @@ def _serialize_observers(result) -> dict[str, str]:
     }
 
 
-def _engine_run(factory, repeats: int) -> tuple[float, dict, dict[str, str]]:
-    """Best-of-``repeats`` block-production seconds for one engine mode.
+def _engine_run(
+    factory, repeats: int, scalar: bool
+) -> tuple[float, dict, dict[str, str]]:
+    """Best-of-``repeats`` block-production seconds for one engine loop.
 
     Production time is the ``engine.run`` span minus the ``engine.curate``
     span: admission, template building, the mining race and chain append
-    — excluding dataset curation, which is identical in both modes.
+    — excluding dataset curation, which is identical for both loops.
     Returns (best seconds, counters from the best run, observer blobs).
     """
     best = math.inf
@@ -595,7 +577,7 @@ def _engine_run(factory, repeats: int) -> tuple[float, dict, dict[str, str]]:
     blobs: dict[str, str] = {}
     for _ in range(max(repeats, 1)):
         with obs.tracing(reset=True):
-            result = factory().run()
+            result = factory().run(scalar=scalar)
             snapshot = obs.snapshot()
         spans = snapshot.get("spans", {})
         production = spans.get("engine.run", {}).get(
@@ -611,8 +593,8 @@ def _engine_run(factory, repeats: int) -> tuple[float, dict, dict[str, str]]:
 def run_engine_bench(scale: float = ENGINE_GATE_SCALE, repeats: int = 2) -> dict:
     """Time the scalar engine loop against the vectorized fast path.
 
-    Runs the dataset-A and dataset-C scenario analogues at ``scale`` in
-    both modes (``REPRO_AUDIT_SCALAR=1`` vs the default fast path) and
+    Runs the dataset-A and dataset-C scenario analogues at ``scale`` on
+    both loops (``scalar=True`` vs the default fast path) and
     reports best-of-``repeats`` block-production times.  Two gates:
 
     * **byte identity** (always): every observer's serialized dataset
@@ -628,10 +610,8 @@ def run_engine_bench(scale: float = ENGINE_GATE_SCALE, repeats: int = 2) -> dict
     }
     cells: dict[str, dict] = {}
     for name, factory in factories.items():
-        with _scalar_env(True):
-            scalar_seconds, _, scalar_blobs = _engine_run(factory, repeats)
-        with _scalar_env(False):
-            fast_seconds, counters, fast_blobs = _engine_run(factory, repeats)
+        scalar_seconds, _, scalar_blobs = _engine_run(factory, repeats, True)
+        fast_seconds, counters, fast_blobs = _engine_run(factory, repeats, False)
         blocks = int(counters.get("engine.blocks.committed", 0))
         cells[name] = {
             "scalar_production_seconds": round(scalar_seconds, 4),
@@ -682,7 +662,7 @@ def run_adversaries_bench(
     Two sections:
 
     * **cells** — for each zoo ``kind``, best-of-``repeats`` block
-      production seconds in scalar vs fast mode with the byte-identity
+      production seconds on the scalar vs fast loop with the byte-identity
       gate; zoo *template* policies are unknown to the fast path's
       policy compiler, so these cells also record whether the
       compiled-policy-program fallback actually engaged (the selfish
@@ -697,10 +677,8 @@ def run_adversaries_bench(
     cells: dict[str, dict] = {}
     for kind in kinds:
         factory = lambda: adversary_scenario(kind, scale=scale)  # noqa: E731
-        with _scalar_env(True):
-            scalar_seconds, _, scalar_blobs = _engine_run(factory, repeats)
-        with _scalar_env(False):
-            fast_seconds, counters, fast_blobs = _engine_run(factory, repeats)
+        scalar_seconds, _, scalar_blobs = _engine_run(factory, repeats, True)
+        fast_seconds, counters, fast_blobs = _engine_run(factory, repeats, False)
         cells[kind] = {
             "scalar_production_seconds": round(scalar_seconds, 4),
             "fast_production_seconds": round(fast_seconds, 4),
@@ -762,14 +740,17 @@ def run_metrics_bench(
 
     Builds (or loads) the dataset-C analogue at ``scale`` and times the
     Table 2 per-pool SPPE sweep, the chain-wide PPE distribution, and
-    the Fig 6 violation grid in both modes.  Vectorized timings are
+    the Fig 6 violation grid twice: through the named scalar reference
+    functions and through the :class:`Auditor`.  Vectorized timings are
     reported twice: *cold* (first call on a fresh auditor — pays for
     packing the chain into arrays) and *warm* (arrays cached); the
     headline ``speedup`` compares the scalar best against the vectorized
     cold time, i.e. it already amortises nothing.  Each cell also checks
-    the two modes produced identical results.
+    the two substrates produced identical results.
     """
-    from ..core.audit import Auditor
+    from ..core.audit import Auditor, self_interest_table_reference
+    from ..core.ppe import chain_ppe
+    from ..core.violations import analyze_snapshot
     from ..datasets.builder import build_dataset_c
 
     import numpy as np
@@ -780,20 +761,19 @@ def run_metrics_bench(
 
     def cell(
         name: str,
+        reference: Callable[[Auditor], object],
         run: Callable[[Auditor], object],
         same: Callable[[object, object], bool],
     ) -> None:
-        with _scalar_env(True):
-            auditor = Auditor(dataset)
-            scalar_seconds, scalar_result = _timed(
-                lambda: run(auditor), repeats
-            )
-        with _scalar_env(False):
-            auditor = Auditor(dataset)
-            start = time.perf_counter()
-            fast_result = run(auditor)
-            cold = time.perf_counter() - start
-            warm, fast_result = _timed(lambda: run(auditor), repeats)
+        auditor = Auditor(dataset)
+        scalar_seconds, scalar_result = _timed(
+            lambda: reference(auditor), repeats
+        )
+        auditor = Auditor(dataset)
+        start = time.perf_counter()
+        fast_result = run(auditor)
+        cold = time.perf_counter() - start
+        warm, fast_result = _timed(lambda: run(auditor), repeats)
         cells[name] = {
             "scalar_seconds": round(scalar_seconds, 4),
             "vectorized_cold_seconds": round(cold, 4),
@@ -803,20 +783,32 @@ def run_metrics_bench(
             "identical": bool(same(scalar_result, fast_result)),
         }
 
+    epsilons = (0.0, 10.0, 600.0)
+
+    def violation_grid_reference(auditor: Auditor) -> dict:
+        views = auditor.snapshot_views(rng=np.random.default_rng(30))
+        return {
+            epsilon: [analyze_snapshot(view, epsilon) for view in views]
+            for epsilon in epsilons
+        }
+
     cell(
         "table2_sppe_sweep",
+        self_interest_table_reference,
         lambda auditor: auditor.self_interest_table(),
         _rows_equal,
     )
     cell(
         "ppe_distribution",
+        lambda auditor: chain_ppe(auditor.dataset.chain),
         lambda auditor: auditor.ppe_distribution(),
         lambda a, b: a == b,
     )
     cell(
         "fig6_violation_grid",
+        violation_grid_reference,
         lambda auditor: auditor.violation_stats_multi(
-            (0.0, 10.0, 600.0), rng=np.random.default_rng(30)
+            epsilons, rng=np.random.default_rng(30)
         ),
         lambda a, b: a == b,
     )

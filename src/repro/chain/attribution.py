@@ -103,10 +103,6 @@ class PoolAttributor:
                 return pool
         return None
 
-    def attribute_chain(self, blocks: Iterable[Block]) -> dict[str, str]:
-        """Map block hash -> pool for every block."""
-        return {block.block_hash: self.attribute(block) for block in blocks}
-
 
 @dataclass(frozen=True)
 class HashRateEstimate:

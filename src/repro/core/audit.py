@@ -44,7 +44,6 @@ from .ppe import (
     PpeAccumulator,
     PpeSummary,
     SppeResult,
-    chain_ppe,
     sppe,
     summarize_ppe,
 )
@@ -58,7 +57,6 @@ from .vectorized import (
     analyze_snapshots_multi,
     chain_ppe_arrays,
     per_transaction_sppe_arrays,
-    scalar_mode,
     sppe_arrays,
 )
 from .violations import (
@@ -149,8 +147,6 @@ class Auditor:
         self, cpfp_filter: CpfpFilter = CpfpFilter.CHILDREN
     ) -> list[BlockPpe]:
         """Per-block PPE over the whole chain (Fig 7a input)."""
-        if scalar_mode():
-            return chain_ppe(self.dataset.chain, cpfp_filter)
         return chain_ppe_arrays(self.arrays(cpfp_filter))
 
     def ppe_summary(self) -> PpeSummary:
@@ -158,10 +154,6 @@ class Auditor:
 
     def ppe_by_pool(self, pools: Sequence[str]) -> dict[str, list[BlockPpe]]:
         """PPE distributions for named pools (Fig 7b input)."""
-        if scalar_mode():
-            return {
-                pool: chain_ppe(self.dataset.blocks_of(pool)) for pool in pools
-            }
         arrays = self.arrays()
         return {
             pool: chain_ppe_arrays(arrays, block_mask=arrays.block_mask(pool))
@@ -207,16 +199,10 @@ class Auditor:
     ) -> dict[float, list[ViolationStats]]:
         """Violation stats for a whole ε grid over one snapshot sample.
 
-        Joins the snapshots once and (on the vectorized path) reuses the
-        ε-independent pair comparisons across the grid — the Fig 6 entry
-        point.
+        Joins the snapshots once and reuses the ε-independent pair
+        comparisons across the grid — the Fig 6 entry point.
         """
         views = self.snapshot_views(count, rng=rng, exclude_cpfp=exclude_cpfp)
-        if scalar_mode():
-            return {
-                epsilon: [analyze_snapshot(view, epsilon) for view in views]
-                for epsilon in epsilons
-            }
         return analyze_snapshots_multi(views, epsilons)
 
     # ------------------------------------------------------------------
@@ -285,16 +271,14 @@ class Auditor:
     ) -> SppeResult:
         """SPPE of ``txids`` inside blocks mined by ``target_pool``.
 
-        Always the scalar oracle: the result carries the full per-tx
-        prediction records.  Table loops that only need the SPPE scalar
-        go through :meth:`sppe_value` instead.
+        The scalar oracle: the result carries the full per-tx prediction
+        records.  Table loops that only need the SPPE scalar go through
+        :meth:`sppe_value` instead.
         """
         return sppe(self.dataset.blocks_of(target_pool), txids)
 
     def sppe_value(self, target_pool: str, txids: Iterable[str]) -> float:
         """SPPE of ``txids`` in ``target_pool``'s blocks, scalar only."""
-        if scalar_mode():
-            return self.sppe_for(target_pool, txids).sppe
         return sppe_arrays(self.arrays(), txids, pool=target_pool).sppe
 
     def self_interest_table(
@@ -309,73 +293,18 @@ class Auditor:
         ``use_inferred`` selects between the auditor's wallet-based
         inference of self-interest transactions (the paper's §5.2
         method) and the simulator's ground-truth labels.
-        """
-        estimates = self.dataset.hash_rates()
-        if owner_pools is None:
-            owner_pools = [
-                est.pool for est in estimates if est.pool != "unknown"
-            ][:20]
-        if target_pools is None:
-            target_pools = [
-                est.pool
-                for est in estimates
-                if est.share >= min_target_share and est.pool != "unknown"
-            ]
-        if scalar_mode():
-            return self._self_interest_table_scalar(
-                owner_pools, target_pools, use_inferred
-            )
-        return self._self_interest_table_fast(
-            owner_pools, target_pools, use_inferred
-        )
-
-    def _self_interest_table_scalar(
-        self,
-        owner_pools: Sequence[str],
-        target_pools: Sequence[str],
-        use_inferred: bool,
-    ) -> list[SelfInterestRow]:
-        """Reference Table 2 loop: per-pair scans, no shared state."""
-        rows: list[SelfInterestRow] = []
-        for owner in owner_pools:
-            txids = (
-                self.dataset.inferred_self_interest_txids(owner)
-                if use_inferred
-                else self.dataset.self_interest_txids(owner)
-            )
-            if not txids:
-                continue
-            for target in target_pools:
-                test = self.prioritization_test_for(target, txids)
-                if test.y == 0:
-                    continue
-                sppe_result = self.sppe_for(target, txids)
-                rows.append(
-                    SelfInterestRow(
-                        owner_pool=owner,
-                        target_pool=target,
-                        test=test,
-                        sppe=sppe_result.sppe,
-                        tx_count=len(txids),
-                    )
-                )
-        return rows
-
-    def _self_interest_table_fast(
-        self,
-        owner_pools: Sequence[str],
-        target_pools: Sequence[str],
-        use_inferred: bool,
-    ) -> list[SelfInterestRow]:
-        """Vectorized Table 2 loop — same rows, shared per-owner work.
 
         Hash shares are read once, each owner's transaction set comes
         from the chain's address index (one pass, not one scan per
         owner), its c-block labels are computed once instead of once per
         target, and SPPE selects from the packed arrays via a
         precomputed match.  The binomial tails reuse the scalar oracle
-        (they are cheap and this keeps p-values bit-identical).
+        (they are cheap and this keeps p-values bit-identical).  Row for
+        row identical to :func:`self_interest_table_reference`.
         """
+        owner_pools, target_pools = _table2_pools(
+            self.dataset, owner_pools, target_pools, min_target_share
+        )
         arrays = self.arrays()
         shares = {est.pool: est.share for est in self.dataset.hash_rates()}
         rows: list[SelfInterestRow] = []
@@ -452,18 +381,13 @@ class Auditor:
         the service's public checker.
         """
         accelerated = self.dataset.accelerated_txids(service_name)
-        sppe_by_txid = (
-            None
-            if scalar_mode()
-            else per_transaction_sppe_arrays(self.arrays(), pool=pool)
-        )
         return detection_sweep(
             self.dataset.blocks_of(pool),
             is_accelerated=lambda txid: txid in accelerated,
             pool=pool,
             thresholds=thresholds,
             rng=rng if rng is not None else np.random.default_rng(4),
-            sppe_by_txid=sppe_by_txid,
+            sppe_by_txid=per_transaction_sppe_arrays(self.arrays(), pool=pool),
         )
 
     def dark_fee_scores(
@@ -471,13 +395,10 @@ class Auditor:
     ) -> list[DetectorScore]:
         """Precision *and* recall against ground truth (extension)."""
         accelerated = self.dataset.accelerated_txids(service_name)
-        sppe_by_txid = (
-            None
-            if scalar_mode()
-            else per_transaction_sppe_arrays(self.arrays(), pool=pool)
-        )
         return score_detector(
-            self.dataset.blocks_of(pool), accelerated, sppe_by_txid=sppe_by_txid
+            self.dataset.blocks_of(pool),
+            accelerated,
+            sppe_by_txid=per_transaction_sppe_arrays(self.arrays(), pool=pool),
         )
 
     # ------------------------------------------------------------------
@@ -594,6 +515,68 @@ class Auditor:
         return report
 
 
+def _table2_pools(
+    dataset: Dataset,
+    owner_pools: Optional[Sequence[str]],
+    target_pools: Optional[Sequence[str]],
+    min_target_share: float,
+) -> tuple[Sequence[str], Sequence[str]]:
+    """Table 2's default owners (top 20) and targets (share floor)."""
+    estimates = dataset.hash_rates()
+    if owner_pools is None:
+        named = [est.pool for est in estimates if est.pool != "unknown"]
+        owner_pools = named[:20]
+    if target_pools is None:
+        target_pools = [
+            est.pool
+            for est in estimates
+            if est.share >= min_target_share and est.pool != "unknown"
+        ]
+    return owner_pools, target_pools
+
+
+def self_interest_table_reference(
+    auditor: Auditor,
+    owner_pools: Optional[Sequence[str]] = None,
+    target_pools: Optional[Sequence[str]] = None,
+    min_target_share: float = 0.035,
+    use_inferred: bool = True,
+) -> list[SelfInterestRow]:
+    """Reference Table 2 loop: per-pair scans, no shared state.
+
+    The oracle for :meth:`Auditor.self_interest_table` — same arguments,
+    same rows — built from the scalar wallet scan, the per-pair
+    :meth:`Auditor.prioritization_test_for` and :meth:`Auditor.sppe_for`.
+    """
+    dataset = auditor.dataset
+    owner_pools, target_pools = _table2_pools(
+        dataset, owner_pools, target_pools, min_target_share
+    )
+    rows: list[SelfInterestRow] = []
+    for owner in owner_pools:
+        txids = (
+            dataset.inferred_self_interest_txids(owner)
+            if use_inferred
+            else dataset.self_interest_txids(owner)
+        )
+        if not txids:
+            continue
+        for target in target_pools:
+            test = auditor.prioritization_test_for(target, txids)
+            if test.y == 0:
+                continue
+            rows.append(
+                SelfInterestRow(
+                    owner_pool=owner,
+                    target_pool=target,
+                    test=test,
+                    sppe=auditor.sppe_for(target, txids).sppe,
+                    tx_count=len(txids),
+                )
+            )
+    return rows
+
+
 # ----------------------------------------------------------------------
 # Streaming (incremental) auditing
 # ----------------------------------------------------------------------
@@ -669,10 +652,10 @@ class StreamingAuditor(Auditor):
     after folding every block of a dataset in chain order, every query —
     including the full :meth:`Auditor.audit` — returns bit-identical
     results to a batch :class:`Auditor` over the original dataset.
-    This holds in both scalar and vectorized dispatch modes because the
-    accumulator-backed overrides reuse the exact batch functions over
-    identical state, and the PR 3 oracle already pins scalar ==
-    vectorized.
+    This holds because the accumulator-backed overrides reuse the exact
+    batch functions over identical state, and the differential tests
+    pin every vectorized :class:`Auditor` method to its scalar oracle,
+    which they call by name.
     """
 
     def __init__(
@@ -822,23 +805,15 @@ class StreamingAuditor(Auditor):
     ) -> list[SelfInterestRow]:
         """Table 2 off accumulator state — no packed-array rebuild.
 
-        Row-for-row identical to both batch variants: pool selection
-        reads the accumulator-backed ``hash_rates``, each test uses the
-        same (θ0, c-block miners) inputs, and the SPPE comes from the
-        scalar oracle over the per-pool block lists (which the oracle
-        pins equal to ``sppe_arrays``).
+        Row-for-row identical to the batch table and its reference: pool
+        selection reads the accumulator-backed ``hash_rates``, each test
+        uses the same (θ0, c-block miners) inputs, and the SPPE comes
+        from the scalar oracle over the per-pool block lists (which the
+        oracle pins equal to ``sppe_arrays``).
         """
-        estimates = self.dataset.hash_rates()
-        if owner_pools is None:
-            owner_pools = [
-                est.pool for est in estimates if est.pool != "unknown"
-            ][:20]
-        if target_pools is None:
-            target_pools = [
-                est.pool
-                for est in estimates
-                if est.share >= min_target_share and est.pool != "unknown"
-            ]
+        owner_pools, target_pools = _table2_pools(
+            self.dataset, owner_pools, target_pools, min_target_share
+        )
         rows: list[SelfInterestRow] = []
         for owner in owner_pools:
             txids = (

@@ -263,9 +263,6 @@ class PpeAccumulator:
         """Fig 7a summary over everything folded so far."""
         return summarize_ppe(self.results)
 
-    def pool_summary(self, pool: str) -> PpeSummary:
-        return summarize_ppe(self.by_pool.get(pool, []))
-
     def sppe(self, pool: str, txids: Iterable[str]) -> SppeResult:
         """SPPE of ``txids`` within ``pool``'s folded blocks.
 

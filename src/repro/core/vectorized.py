@@ -17,15 +17,14 @@ The contract, enforced by the differential harness in
   ``math.lgamma`` factorial table) and differ only in log-sum-exp
   accumulation order — documented tolerance 1e-9 *relative*.
 
-Set ``REPRO_AUDIT_SCALAR=1`` to make every switched analysis path fall
-back to the oracle (the escape hatch used when debugging a suspected
-vectorization bug).
+Production code (:class:`~repro.core.audit.Auditor`) runs only this
+path; to audit with the oracle, call the scalar function by name (the
+differential tests and ``repro-audit bench --suite metrics`` do).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -36,15 +35,6 @@ from ..chain.block import Block
 from .norms import CpfpFilter, filter_block_transactions
 from .ppe import BlockPpe
 from .violations import SnapshotView, ViolationStats
-
-#: Environment variable that routes switched analyses back to the oracle.
-SCALAR_ENV = "REPRO_AUDIT_SCALAR"
-
-
-def scalar_mode() -> bool:
-    """True when the ``REPRO_AUDIT_SCALAR=1`` escape hatch is set."""
-    return os.environ.get(SCALAR_ENV, "") == "1"
-
 
 # ----------------------------------------------------------------------
 # ChainArrays: the packed per-chain adapter

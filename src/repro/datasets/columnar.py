@@ -766,10 +766,6 @@ class ColumnStore:
         return int(self.counts["blocks"])
 
     @property
-    def chain_tx_count(self) -> int:
-        return int(self.counts["chain_txs"])
-
-    @property
     def record_count(self) -> int:
         return int(self.counts["records"])
 

@@ -28,7 +28,6 @@ from ..mempool.snapshots import SizeSeries, SnapshotStore
 from .records import (
     LABEL_ACCELERATED,
     LABEL_MEV_ATTACK,
-    LABEL_MEV_VICTIM,
     LABEL_SCAM,
     LABEL_SELF_INTEREST,
     BlockRecord,
@@ -160,10 +159,6 @@ class Dataset:
 
     def accelerated_txids(self, service: str = "") -> frozenset[str]:
         return self.labelled_txids(LABEL_ACCELERATED, service)
-
-    def mev_victim_txids(self, campaign: str = "") -> frozenset[str]:
-        """Ground-truth MEV victim transactions (adversary-zoo workloads)."""
-        return self.labelled_txids(LABEL_MEV_VICTIM, campaign)
 
     def mev_attack_txids(self, campaign: str = "") -> frozenset[str]:
         """The attacker's own sandwich insertions."""

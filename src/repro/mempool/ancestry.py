@@ -20,7 +20,6 @@ from typing import Iterable, Mapping, Sequence
 
 from ..chain.block import Block
 from ..chain.transaction import Transaction
-from .feerate import fee_rate_rank
 
 
 @dataclass(frozen=True)
@@ -37,24 +36,11 @@ class PackageStats:
         """The ancestor fee-rate Bitcoin Core's assembler sorts by.
 
         A float, so fit only for display and tolerant comparisons —
-        ranking must go through :attr:`package_rank`, which survives the
+        ranking must go through
+        :func:`repro.mempool.feerate.fee_rate_rank`, which survives the
         rationals that collide in float64.
         """
         return self.package_fee / self.package_vsize
-
-    @property
-    def package_rank(self) -> int:
-        """Exact integer ordering key for the package fee-rate.
-
-        Equivalent to comparing packages by integer cross-multiplication
-        (``fee_a * vsize_b`` vs ``fee_b * vsize_a``); see
-        :func:`repro.mempool.feerate.fee_rate_rank`.
-        """
-        return fee_rate_rank(self.package_fee, self.package_vsize)
-
-    def outranks(self, other: "PackageStats") -> bool:
-        """True when this package pays a strictly higher exact fee-rate."""
-        return self.package_rank > other.package_rank
 
     @property
     def ancestor_count(self) -> int:
@@ -125,12 +111,6 @@ class AncestryIndex:
         and cross-checked against the scan in a property test.
         """
         return frozenset(self._children.get(txid, ()))
-
-    def children_of_by_scan(self, txid: str) -> frozenset[str]:
-        """The pre-index O(n) computation, kept as the test oracle."""
-        return frozenset(
-            tx.txid for tx in self._txs.values() if txid in tx.parent_txids
-        )
 
     def ancestors_of(self, txid: str) -> frozenset[str]:
         """All in-set ancestors of ``txid`` (excluding itself)."""

@@ -53,10 +53,6 @@ class MempoolSnapshot:
         """True when pending transactions exceed one block's capacity."""
         return self.total_vsize > MAX_BLOCK_VSIZE
 
-    def congestion_level(self) -> str:
-        """The paper's four congestion bins (§4.1.2)."""
-        return congestion_bin(self.total_vsize)
-
     def txids(self) -> frozenset[str]:
         return frozenset(tx.txid for tx in self.txs)
 

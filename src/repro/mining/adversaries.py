@@ -47,7 +47,7 @@ from ..chain.transaction import Transaction
 from ..mempool.feerate import fee_rate_rank
 from ..mempool.mempool import MempoolEntry
 from .gbt import BlockTemplate, _check_budget, repair_topological_order
-from .policies import EntryPredicate, FeeRatePolicy, OrderingPolicy
+from .policies import EntryPredicate, OrderingPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
@@ -420,8 +420,3 @@ ZOO_POLICIES = {
     "sandwich": SandwichPolicy,
     "censor-for-rent": CensorForRentPolicy,
 }
-
-
-def honest_reference_policy() -> OrderingPolicy:
-    """The policy the zoo deviates from (for docs and tests)."""
-    return FeeRatePolicy(package_selection=True)

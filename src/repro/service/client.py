@@ -24,7 +24,6 @@ import urllib.parse
 from typing import Iterable, Optional
 
 from ..chain.block import Block
-from ..datasets.dataset import Dataset
 from .wal import encode_entry
 
 #: Errors that mean "server unreachable right now" — always retryable.
@@ -215,10 +214,3 @@ class AuditClient:
 
     def checkpoint(self) -> None:
         self.request("POST", "/control/checkpoint")
-
-
-def stream_dataset(client: AuditClient, dataset: Dataset) -> int:
-    """Replay a whole dataset's chain through ``client``."""
-    from ..core.audit import stream_blocks
-
-    return client.stream(stream_blocks(dataset))

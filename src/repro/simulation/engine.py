@@ -32,7 +32,6 @@ import numpy as np
 from .. import obs
 from ..chain.attribution import PoolAttributor
 from ..chain.blockchain import Blockchain
-from ..core.vectorized import scalar_mode
 from ..chain.constants import (
     MAX_BLOCK_VSIZE,
     SNAPSHOT_INTERVAL,
@@ -226,22 +225,28 @@ class SimulationEngine:
         self,
         plan: Sequence[PlannedTx],
         checkpoint: Optional["CheckpointConfig"] = None,
+        *,
+        scalar: bool = False,
     ) -> SimulationResult:
         """Execute the scenario over ``plan`` and curate datasets.
 
-        When ``checkpoint`` is given, loop state (blocks, commitments,
-        RNG streams, acceleration order books) is persisted atomically
-        every ``checkpoint.every_blocks`` blocks, and an existing
-        checkpoint at ``checkpoint.path`` resumes the run mid-schedule,
-        reproducing the uninterrupted run exactly.
+        Blocks are produced by the vectorized fast path unless
+        ``scalar`` selects the per-tx reference loop (the differential
+        oracle).  When ``checkpoint`` is given, the per-tx loop runs
+        too: loop state (blocks, commitments, RNG streams, acceleration
+        order books) is persisted atomically every
+        ``checkpoint.every_blocks`` blocks, and an existing checkpoint
+        at ``checkpoint.path`` resumes the run mid-schedule, reproducing
+        the uninterrupted run exactly.
         """
         with obs.span("engine.run"):
-            return self._run(plan, checkpoint)
+            return self._run(plan, checkpoint, scalar)
 
     def _run(
         self,
         plan: Sequence[PlannedTx],
-        checkpoint: Optional["CheckpointConfig"] = None,
+        checkpoint: Optional["CheckpointConfig"],
+        scalar: bool,
     ) -> SimulationResult:
         plan = sorted(plan, key=lambda p: (p.broadcast_time, p.tx.txid))
         count = len(plan)
@@ -286,12 +291,17 @@ class SimulationEngine:
                 )
         mining_rng = self.streams.stream("mining/assembly")
 
-        # Default: the vectorized production loop (repro.simulation.fast),
-        # byte-identical to the scalar loop below by contract
-        # (tests/test_engine_oracle.py).  The scalar path remains the
-        # differential oracle behind REPRO_AUDIT_SCALAR=1, and still
-        # carries checkpoint/resume, which keeps per-block dict state.
-        if checkpoint is None and not scalar_mode():
+        # The vectorized production loop (repro.simulation.fast) is
+        # byte-identical to the per-tx loop by contract
+        # (tests/test_engine_oracle.py).  The per-tx loop is the
+        # differential oracle, selected by ``scalar=True``, and the only
+        # loop that resumes from a checkpoint: it keeps per-block dict
+        # state that a checkpoint can persist.
+        if scalar or checkpoint is not None:
+            committed, chain, orphaned = self._produce_per_tx(
+                plan, pool_arrivals, schedule, stale_mask, mining_rng, checkpoint
+            )
+        else:
             from .fast import produce_fast
 
             committed, chain, orphaned = produce_fast(
@@ -304,10 +314,21 @@ class SimulationEngine:
                 mining_rng,
                 check_invariants=invariants_enabled(),
             )
-            return self._curate(
-                plan, broadcast_times, observer_delays, committed, chain, orphaned
-            )
+        return self._curate(
+            plan, broadcast_times, observer_delays, committed, chain, orphaned
+        )
 
+    def _produce_per_tx(
+        self,
+        plan: Sequence[PlannedTx],
+        pool_arrivals: np.ndarray,
+        schedule: Sequence[tuple[float, int]],
+        stale_mask: Optional[np.ndarray],
+        mining_rng: np.random.Generator,
+        checkpoint: Optional["CheckpointConfig"],
+    ) -> tuple[dict[str, tuple[int, int, float]], Blockchain, int]:
+        """The per-tx reference loop: (committed, chain, orphaned)."""
+        count = len(plan)
         # Pending pool: index into `plan` for not-yet-committed txs,
         # plus conflict bookkeeping (outpoint -> pending spender) so
         # replace-by-fee bumps evict what they displace and stale
@@ -464,9 +485,7 @@ class SimulationEngine:
                         f"(checkpoint at {checkpoint.path})"
                     )
 
-        return self._curate(
-            plan, broadcast_times, observer_delays, committed, chain, orphaned
-        )
+        return committed, chain, orphaned
 
     # ------------------------------------------------------------------
     # Checkpoint/resume

@@ -3,9 +3,10 @@
 The scalar loop in :mod:`repro.simulation.engine` admits one planned
 transaction at a time into python dicts and rebuilds every block
 template from freshly materialised :class:`MempoolEntry` lists.  That
-is the *oracle*: small, obviously faithful to the model, and kept
-runnable via ``REPRO_AUDIT_SCALAR=1``.  This module is the fast path
-the engine dispatches to by default, and its contract is strict:
+is the *oracle*: small, obviously faithful to the model, and selected
+by ``SimulationEngine.run(plan, scalar=True)`` (or any checkpointed
+run).  This module is the fast path the engine dispatches to by
+default, and its contract is strict:
 
 **byte-identical datasets.**  Not "statistically equivalent" — the
 serialized output of a scenario run must not change by a single byte

@@ -22,7 +22,7 @@ findings as ground truth:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from ..chain.constants import TARGET_BLOCK_INTERVAL
@@ -122,15 +122,16 @@ class Scenario:
     #: so checkpoint/resume can persist those streams too.
     policy_streams: Optional[RngStreams] = None
 
-    def with_faults(self, faults: Optional["FaultSchedule"]) -> "Scenario":
-        """A copy of this scenario with ``faults`` installed."""
-        return replace(self, faults=faults)
-
     def run(
-        self, checkpoint: Optional["CheckpointConfig"] = None
+        self,
+        checkpoint: Optional["CheckpointConfig"] = None,
+        *,
+        scalar: bool = False,
     ) -> SimulationResult:
         """Generate the workload and simulate to a curated dataset.
 
+        ``scalar`` produces blocks with the engine's per-tx reference
+        loop instead of the fast path (see :meth:`SimulationEngine.run`).
         ``checkpoint`` enables periodic crash-tolerant checkpoints (and
         resume from an existing one); the builder's policy-jitter
         streams are persisted alongside the engine's own.
@@ -167,7 +168,7 @@ class Scenario:
                 checkpoint.extra_streams = tuple(checkpoint.extra_streams) + (
                     self.policy_streams,
                 )
-        result = engine.run(plan, checkpoint=checkpoint)
+        result = engine.run(plan, checkpoint=checkpoint, scalar=scalar)
         injections = self.workload_config.injections
         for dataset in result.datasets_by_observer.values():
             dataset.metadata["scenario"] = self.name

@@ -34,12 +34,26 @@ from repro.core.vectorized import (
     sppe_arrays,
 )
 from repro.core.violations import analyze_snapshot, count_violations
+from repro.mempool.ancestry import AncestryIndex
 
 #: Documented relative tolerance for p-values (observed diffs ~1e-15).
 P_VALUE_REL_TOL = 1e-9
 
 #: ε grid used for violation cross-checks (the Fig 6 grid).
 EPSILON_GRID = (0.0, 10.0, 600.0)
+
+
+def children_of_by_scan(index: AncestryIndex, txid: str) -> frozenset[str]:
+    """In-set children of ``txid`` by an O(n) scan of every tracked tx.
+
+    The oracle for :meth:`AncestryIndex.children_of`'s incremental
+    reverse index: it reads only the forward (child -> parent) links.
+    """
+    return frozenset(
+        tx.txid
+        for tx in index.topological_order()
+        if txid in tx.parent_txids
+    )
 
 
 def floats_equal(a: float, b: float) -> bool:

@@ -12,6 +12,7 @@ from repro.mempool.ancestry import (
 )
 
 from conftest import TxFactory, make_test_block
+from oracle import children_of_by_scan
 
 
 @pytest.fixture
@@ -169,8 +170,8 @@ class TestChildrenIndexProperty:
             else:
                 index.remove(txs[arg].txid)
             for tx in txs:
-                assert index.children_of(tx.txid) == index.children_of_by_scan(
-                    tx.txid
+                assert index.children_of(tx.txid) == children_of_by_scan(
+                    index, tx.txid
                 ), f"reverse index diverged after {op}"
 
     def test_remove_then_readd_restores_children(self, txf):

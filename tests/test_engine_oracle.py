@@ -2,7 +2,8 @@
 
 `repro.simulation.fast` replays the per-tx engine loop over packed
 arrays; the scalar loop (mempool heap + template builders) stays live
-behind ``REPRO_AUDIT_SCALAR=1`` as the oracle.  The contract is *byte
+as the oracle, selected with ``Scenario.run(scalar=True)``.  The
+contract is *byte
 identity* of the curated datasets — every observer's serialized
 artefact, not just summary statistics — across the paper's three
 dataset analogues, including the misbehaving-policy lineup (dataset C:
@@ -23,6 +24,7 @@ import pytest
 
 from repro import obs
 from repro.datasets.io import dataset_to_dict
+from repro.faults import CheckpointConfig
 from repro.faults.schedule import FaultSchedule
 from repro.simulation.scenarios import (
     ADVERSARY_KINDS,
@@ -66,11 +68,10 @@ CELLS = {
 }
 
 
-def _run_cell(factory, monkeypatch, scalar: bool):
+def _run_cell(factory, scalar: bool):
     """Run a fresh scenario and serialize every observer's dataset."""
-    monkeypatch.setenv("REPRO_AUDIT_SCALAR", "1" if scalar else "0")
     with obs.tracing(reset=True):
-        result = factory().run()
+        result = factory().run(scalar=scalar)
         snapshot = obs.snapshot()
     blobs = {
         name: json.dumps(
@@ -95,10 +96,10 @@ def _first_divergence(scalar_blob: str, fast_blob: str) -> str:
 
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
-def test_fast_engine_is_byte_identical_to_scalar_oracle(cell, monkeypatch):
+def test_fast_engine_is_byte_identical_to_scalar_oracle(cell):
     factory = CELLS[cell]
-    scalar_blobs, _ = _run_cell(factory, monkeypatch, scalar=True)
-    fast_blobs, fast_snapshot = _run_cell(factory, monkeypatch, scalar=False)
+    scalar_blobs, _ = _run_cell(factory, scalar=True)
+    fast_blobs, fast_snapshot = _run_cell(factory, scalar=False)
 
     # The comparison must not be vacuous: the fast path has to have
     # actually compiled and driven the pools.
@@ -118,9 +119,7 @@ def test_fast_engine_is_byte_identical_to_scalar_oracle(cell, monkeypatch):
 @pytest.mark.parametrize(
     "kind", [k for k in ADVERSARY_KINDS if k != "honest"]
 )
-def test_adversary_lineups_are_byte_identical_across_substrates(
-    kind, monkeypatch
-):
+def test_adversary_lineups_are_byte_identical_across_substrates(kind):
     """Every zoo adversary must satisfy the same byte-identity contract.
 
     The zoo template policies are deliberately unknown to the fast
@@ -132,8 +131,8 @@ def test_adversary_lineups_are_byte_identical_across_substrates(
     factory = lambda: adversary_scenario(  # noqa: E731
         kind, seed=11, scale=ADVERSARY_SCALE, intensity=1.0
     )
-    scalar_blobs, _ = _run_cell(factory, monkeypatch, scalar=True)
-    fast_blobs, fast_snapshot = _run_cell(factory, monkeypatch, scalar=False)
+    scalar_blobs, _ = _run_cell(factory, scalar=True)
+    fast_blobs, fast_snapshot = _run_cell(factory, scalar=False)
 
     counters = fast_snapshot["counters"]
     assert counters.get("engine.fast.pools_compiled", 0) > 0
@@ -157,7 +156,7 @@ def test_adversary_lineups_are_byte_identical_across_substrates(
             )
 
 
-def test_noisy_policy_runs_are_seed_stable_across_substrates(monkeypatch):
+def test_noisy_policy_runs_are_seed_stable_across_substrates():
     """Identical seeds => identical datasets, per run and per substrate.
 
     Every dataset-C pool wraps its policy in ``NoisyPolicy`` whose
@@ -168,7 +167,7 @@ def test_noisy_policy_runs_are_seed_stable_across_substrates(monkeypatch):
     """
     factory = lambda: dataset_c_scenario(seed=11, scale=0.04)  # noqa: E731
     runs = [
-        _run_cell(factory, monkeypatch, scalar=scalar)[0]
+        _run_cell(factory, scalar=scalar)[0]
         for scalar in (True, True, False, False)
     ]
     assert runs[0] == runs[1], "scalar run not reproducible under one seed"
@@ -176,10 +175,19 @@ def test_noisy_policy_runs_are_seed_stable_across_substrates(monkeypatch):
     assert runs[0] == runs[2], "substrates diverged under one seed"
 
 
-def test_scalar_oracle_does_not_take_the_fast_path(monkeypatch):
-    """REPRO_AUDIT_SCALAR=1 must route through the per-tx engine loop."""
-    monkeypatch.setenv("REPRO_AUDIT_SCALAR", "1")
-    with obs.tracing(reset=True):
-        dataset_a_scenario(scale=0.05).run()
-        snapshot = obs.snapshot()
-    assert "engine.fast.pools_compiled" not in snapshot["counters"]
+def test_scalar_oracle_does_not_take_the_fast_path(tmp_path):
+    """Engine dispatch: only a default run takes the fast path.
+
+    ``scalar=True`` selects the per-tx oracle loop, and so does a
+    checkpoint, because only the per-tx loop can resume.
+    """
+
+    def pools_compiled(**run_kwargs):
+        with obs.tracing(reset=True):
+            dataset_a_scenario(scale=0.05).run(**run_kwargs)
+            return obs.snapshot()["counters"].get("engine.fast.pools_compiled")
+
+    assert pools_compiled(scalar=True) is None
+    checkpoint = CheckpointConfig(path=tmp_path / "ckpt.gz", every_blocks=10)
+    assert pools_compiled(checkpoint=checkpoint) is None
+    assert pools_compiled() > 0

@@ -9,7 +9,7 @@ out of:
 
 * the vectorized engine (cold build),
 * a cache-warm reload of that build (serialization round-trip),
-* the scalar oracle engine (``REPRO_AUDIT_SCALAR=1``, fresh build).
+* the scalar oracle engine (``Scenario.run(scalar=True)``, fresh run).
 
 To intentionally update after a deliberate engine change::
 
@@ -25,36 +25,27 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.vectorized import SCALAR_ENV
-from repro.datasets.builder import (
-    build_dataset,
-    build_dataset_a,
-    build_dataset_b,
-    build_dataset_c,
+from repro.datasets.builder import build_dataset
+from repro.simulation.scenarios import (
+    adversary_scenario,
+    dataset_a_scenario,
+    dataset_b_scenario,
+    dataset_c_scenario,
 )
-from repro.simulation.scenarios import adversary_scenario
 
 GOLDEN_SCALE = 0.1
 GOLDEN_PATH = Path(__file__).parent / "golden" / "engine_digests_scale01.json"
 
-
-def build_adversary_sandwich(scale: float, cache_dir=None):
-    """The adversarial golden lineup: an MEV-sandwiching target pool.
-
-    Pins the zoo's workload hooks (victim/attacker injections) and the
-    fast path's compiled-policy fallback alongside the honest analogues,
-    so an engine edit cannot silently change adversarial datasets
-    either.
-    """
-    scenario = adversary_scenario("sandwich", scale=scale)
-    return build_dataset(scenario, cache_dir=cache_dir)
-
-
-BUILDERS = {
-    "dataset-A": build_dataset_a,
-    "dataset-B": build_dataset_b,
-    "dataset-C": build_dataset_c,
-    "adv-sandwich": build_adversary_sandwich,
+#: Golden lineups at the golden scale.  "adv-sandwich" is the
+#: adversarial one, an MEV-sandwiching target pool: it pins the zoo's
+#: workload hooks (victim/attacker injections) and the fast path's
+#: compiled-policy fallback alongside the honest analogues, so an
+#: engine edit cannot silently change adversarial datasets either.
+SCENARIOS = {
+    "dataset-A": lambda: dataset_a_scenario(scale=GOLDEN_SCALE),
+    "dataset-B": lambda: dataset_b_scenario(scale=GOLDEN_SCALE),
+    "dataset-C": lambda: dataset_c_scenario(scale=GOLDEN_SCALE),
+    "adv-sandwich": lambda: adversary_scenario("sandwich", scale=GOLDEN_SCALE),
 }
 
 
@@ -79,10 +70,8 @@ def cache_dir(tmp_path_factory):
 @pytest.fixture(scope="module")
 def vectorized_digests(cache_dir, request) -> dict[str, str]:
     digests = {
-        name: block_txid_digest(
-            builder(scale=GOLDEN_SCALE, cache_dir=cache_dir)
-        )
-        for name, builder in BUILDERS.items()
+        name: block_txid_digest(build_dataset(scenario(), cache_dir=cache_dir))
+        for name, scenario in SCENARIOS.items()
     }
     if request.config.getoption("--regen-golden", default=False):
         GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
@@ -104,17 +93,12 @@ class TestGoldenEngineDigests:
 
     def test_cache_warm_reload_matches(self, vectorized_digests, cache_dir):
         """A reload from the on-disk cache must round-trip the digest."""
-        for name, builder in BUILDERS.items():
-            reloaded = builder(scale=GOLDEN_SCALE, cache_dir=cache_dir)
+        for name, scenario in SCENARIOS.items():
+            reloaded = build_dataset(scenario(), cache_dir=cache_dir)
             assert block_txid_digest(reloaded) == vectorized_digests[name]
 
-    def test_scalar_oracle_build_matches(
-        self, vectorized_digests, tmp_path, monkeypatch
-    ):
+    def test_scalar_oracle_build_matches(self, vectorized_digests):
         """The scalar engine must commit the exact same block sequences."""
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        for name, builder in BUILDERS.items():
-            dataset = builder(
-                scale=GOLDEN_SCALE, cache_dir=tmp_path / "scalar-cache"
-            )
+        for name, scenario in SCENARIOS.items():
+            dataset = scenario().run(scalar=True).dataset
             assert block_txid_digest(dataset) == vectorized_digests[name]

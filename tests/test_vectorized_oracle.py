@@ -15,10 +15,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.ext_power import detection_power
 from repro.chain.block import GENESIS_HASH
+from repro.core.acceleration import detection_sweep, score_detector
+from repro.core.audit import Auditor, self_interest_table_reference
 from repro.core.norms import CpfpFilter
 from repro.core.ppe import chain_ppe, sppe
-from repro.core.stattests import binom_tail_lower, binom_tail_upper
+from repro.core.stattests import (
+    STRONG_EVIDENCE_P,
+    binom_tail_lower,
+    binom_tail_upper,
+)
 from repro.core.vectorized import (
     ChainArrays,
     binom_tail_lower_batch,
@@ -26,11 +33,11 @@ from repro.core.vectorized import (
     binom_tail_upper_batch,
     binom_tail_upper_vec,
     chain_ppe_arrays,
-    scalar_mode,
     sppe_arrays,
     windowed_prioritization_test_vec,
 )
 from repro.core.stattests import windowed_prioritization_test
+from repro.core.violations import analyze_snapshot
 from repro.datasets.builder import (
     build_dataset_a,
     build_dataset_b,
@@ -46,6 +53,7 @@ from oracle import (
     assert_pair_counts_equivalent,
     assert_tails_match,
     floats_equal,
+    nan_equal,
 )
 
 
@@ -337,15 +345,6 @@ def test_unknown_pool_masks_empty():
     assert arrays.owner_id("never-mined") == -1
 
 
-def test_scalar_mode_env(monkeypatch):
-    monkeypatch.delenv("REPRO_AUDIT_SCALAR", raising=False)
-    assert not scalar_mode()
-    monkeypatch.setenv("REPRO_AUDIT_SCALAR", "1")
-    assert scalar_mode()
-    monkeypatch.setenv("REPRO_AUDIT_SCALAR", "0")
-    assert not scalar_mode()
-
-
 # ----------------------------------------------------------------------
 # Cached scale-0.1 datasets: the full contract
 # ----------------------------------------------------------------------
@@ -366,31 +365,72 @@ def test_dataset_c_scale01_matches_oracle(oracle_cache):
     assert_dataset_equivalent(build_dataset_c(scale=0.1, cache=oracle_cache))
 
 
-def test_auditor_modes_agree_on_dataset_c(oracle_cache, monkeypatch):
-    """Auditor-level cross-check: Table 2/3 + Fig 6/7 in both modes."""
-    from repro.core.audit import Auditor
+BUILDERS = {"A": build_dataset_a, "B": build_dataset_b, "C": build_dataset_c}
 
-    dataset = build_dataset_c(scale=0.1, cache=oracle_cache)
-    monkeypatch.setenv("REPRO_AUDIT_SCALAR", "1")
-    scalar_auditor = Auditor(dataset)
-    scalar_table = scalar_auditor.self_interest_table()
-    scalar_scam = scalar_auditor.scam_table()
-    scalar_dark = scalar_auditor.dark_fee_sweep("BTC.com")
-    scalar_grid = scalar_auditor.violation_stats_multi((0.0, 10.0), count=5)
-    monkeypatch.delenv("REPRO_AUDIT_SCALAR")
-    fast_auditor = Auditor(dataset)
-    fast_table = fast_auditor.self_interest_table()
-    assert len(scalar_table) == len(fast_table)
-    for a, b in zip(scalar_table, fast_table):
-        assert (a.owner_pool, a.target_pool, a.test, a.tx_count) == (
-            b.owner_pool, b.target_pool, b.test, b.tx_count
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_auditor_matches_oracles(oracle_cache, name):
+    """Every vectorized Auditor method equals its oracle, called by name."""
+    dataset = BUILDERS[name](scale=0.1, cache=oracle_cache)
+    auditor = Auditor(dataset)
+    top = [est.pool for est in dataset.hash_rates()[:4]]
+    pools = list(dict.fromkeys(top + ["BTC.com"]))
+
+    for cpfp_filter in CpfpFilter:
+        assert auditor.ppe_distribution(cpfp_filter) == chain_ppe(
+            dataset.chain, cpfp_filter
         )
-        assert floats_equal(a.sppe, b.sppe)
-    fast_scam = fast_auditor.scam_table()
-    for a, b in zip(scalar_scam, fast_scam):
-        assert (a.pool, a.test) == (b.pool, b.test)
-        assert floats_equal(a.sppe, b.sppe)
-    assert scalar_dark == fast_auditor.dark_fee_sweep("BTC.com")
-    assert scalar_grid == fast_auditor.violation_stats_multi(
-        (0.0, 10.0), count=5
+    assert auditor.ppe_by_pool(pools) == {
+        pool: chain_ppe(dataset.blocks_of(pool)) for pool in pools
+    }
+
+    epsilons = (0.0, 10.0)
+    views = auditor.snapshot_views(count=5)
+    assert auditor.violation_stats_multi(epsilons, count=5) == {
+        epsilon: [analyze_snapshot(view, epsilon) for view in views]
+        for epsilon in epsilons
+    }
+
+    assert nan_equal(
+        auditor.self_interest_table(), self_interest_table_reference(auditor)
     )
+
+    accelerated = dataset.accelerated_txids()
+    target_sets = (
+        dataset.scam_txids(),
+        dataset.inferred_self_interest_txids(pools[0]),
+    )
+    for pool in pools:
+        blocks = dataset.blocks_of(pool)
+        for txids in target_sets:
+            assert floats_equal(
+                auditor.sppe_value(pool, txids), sppe(blocks, txids).sppe
+            )
+        assert nan_equal(
+            auditor.dark_fee_sweep(pool),
+            detection_sweep(
+                blocks,
+                is_accelerated=lambda txid: txid in accelerated,
+                pool=pool,
+                rng=np.random.default_rng(4),
+            ),
+        )
+        assert nan_equal(
+            auditor.dark_fee_scores(pool), score_detector(blocks, accelerated)
+        )
+
+
+def test_detection_power_matches_binomial_loop():
+    """ext_power's batched rejection count vs a scalar tail per draw."""
+    trials = 400
+    cells = ((0.175, 0.3, 50), (0.07, 0.2, 100), (0.0375, 0.1, 250))
+    for theta0, theta, y in cells:
+        xs = np.random.default_rng(0).binomial(y, theta, size=trials)
+        rejections = sum(
+            1
+            for x in xs
+            if binom_tail_upper(int(x), y, theta0) < STRONG_EVIDENCE_P
+        )
+        assert detection_power(theta0, theta, y, trials=trials) == (
+            rejections / trials
+        )
