@@ -62,7 +62,7 @@ from ..mempool.snapshots import (
     MempoolSnapshot,
     SizeSeries,
     SnapshotStore,
-    SnapshotTx,
+    SnapshotTxInterner,
 )
 from .dataset import Dataset
 from .io import FORMAT_VERSION, DatasetCorruptionError
@@ -804,14 +804,6 @@ def open_columns(path: Union[str, Path]) -> ColumnStore:
 # ----------------------------------------------------------------------
 # Interchange decode (columnar file -> full Dataset)
 # ----------------------------------------------------------------------
-def _restore_floats(column: np.ndarray, int_indices) -> list:
-    """Python floats, with the manifest's int-typed entries restored."""
-    values: list = [float(v) for v in column]
-    for index in int_indices:
-        values[index] = int(values[index])
-    return values
-
-
 def load_columnar(path: Union[str, Path]) -> Dataset:
     """Read a dataset written by :func:`save_columnar`.
 
@@ -837,66 +829,74 @@ def load_columnar(path: Union[str, Path]) -> Dataset:
 
 
 def _dataset_from_store(store: ColumnStore) -> Dataset:
+    """Rebuild the object graph from the store's columns.
+
+    Each column is decoded in bulk, with one ``tolist()``, so the loops
+    below index plain Python lists instead of memory maps.  Repeated
+    snapshot rows share one interned :class:`SnapshotTx`.
+    """
     manifest = store.manifest
     int_typed = manifest.get("int_typed", {})
 
-    def floats(name: str) -> list:
-        return _restore_floats(store[name], int_typed.get(name, ()))
+    def column(name: str) -> list:
+        """``store[name]`` as Python values, int-typed entries restored."""
+        values = store[name].tolist()
+        for index in int_typed.get(name, ()):
+            values[index] = int(values[index])
+        return values
 
     # -- chain ----------------------------------------------------------
     chain = Blockchain()
-    heights = store["block_height"]
-    timestamps = floats("block_timestamp")
-    block_hashes = store["block_hash"]
-    cb_address = store["block_cb_address"]
-    cb_value = store["block_cb_value"]
-    cb_marker = store["block_cb_marker"]
-    cb_vsize = store["block_cb_vsize"]
-    block_tx_start = store["block_tx_start"]
-    ctx_txid = store["ctx_txid"]
-    ctx_fee = store["ctx_fee"]
-    ctx_vsize = store["ctx_vsize"]
-    ctx_nonce = store["ctx_nonce"]
-    in_start = store["ctx_in_start"]
-    out_start = store["ctx_out_start"]
-    in_txid = store["in_txid"]
-    in_index = store["in_index"]
-    out_address = store["out_address"]
-    out_value = store["out_value"]
+    heights = column("block_height")
+    timestamps = column("block_timestamp")
+    block_hashes = column("block_hash")
+    cb_address = column("block_cb_address")
+    cb_value = column("block_cb_value")
+    cb_marker = column("block_cb_marker")
+    cb_vsize = column("block_cb_vsize")
+    block_tx_start = column("block_tx_start")
+    ctx_txid = column("ctx_txid")
+    ctx_fee = column("ctx_fee")
+    ctx_vsize = column("ctx_vsize")
+    ctx_nonce = column("ctx_nonce")
+    in_start = column("ctx_in_start")
+    out_start = column("ctx_out_start")
+    in_txid = column("in_txid")
+    in_index = column("in_index")
+    out_address = column("out_address")
+    out_value = column("out_value")
     for index in range(store.block_count):
-        height = int(heights[index])
+        height = heights[index]
         coinbase = CoinbaseTransaction(
             inputs=(),
-            outputs=(
-                TxOutput(str(cb_address[index]), int(cb_value[index])),
-            ),
-            vsize=int(cb_vsize[index]),
+            outputs=(TxOutput(cb_address[index], cb_value[index]),),
+            vsize=cb_vsize[index],
             fee=0,
             nonce=height,
-            marker=str(cb_marker[index]),
+            marker=cb_marker[index],
         )
         transactions = []
-        for j in range(int(block_tx_start[index]), int(block_tx_start[index + 1])):
-            inputs = tuple(
-                TxInput(OutPoint(str(in_txid[k]), int(in_index[k])))
-                for k in range(int(in_start[j]), int(in_start[j + 1]))
-            )
-            outputs = tuple(
-                TxOutput(str(out_address[k]), int(out_value[k]))
-                for k in range(int(out_start[j]), int(out_start[j + 1]))
-            )
+        for j in range(block_tx_start[index], block_tx_start[index + 1]):
+            inputs = tuple([
+                TxInput(OutPoint(in_txid[k], in_index[k]))
+                for k in range(in_start[j], in_start[j + 1])
+            ])
+            outputs = tuple([
+                TxOutput(out_address[k], out_value[k])
+                for k in range(out_start[j], out_start[j + 1])
+            ])
             tx = Transaction(
                 inputs=inputs,
                 outputs=outputs,
-                vsize=int(ctx_vsize[j]),
-                fee=int(ctx_fee[j]),
-                nonce=int(ctx_nonce[j]),
+                vsize=ctx_vsize[j],
+                fee=ctx_fee[j],
+                nonce=ctx_nonce[j],
             )
-            if tx.txid != str(ctx_txid[j]):
+            if tx.txid != ctx_txid[j]:
                 raise DatasetCorruptionError(
                     store.path,
                     f"txid mismatch at chain index {j} "
-                    f"(stored {str(ctx_txid[j])!r})",
+                    f"(stored {ctx_txid[j]!r})",
                 )
             transactions.append(tx)
         block = build_block(
@@ -906,76 +906,76 @@ def _dataset_from_store(store: ColumnStore) -> Dataset:
             coinbase=coinbase,
             transactions=transactions,
         )
-        if block.block_hash != str(block_hashes[index]):
+        if block.block_hash != block_hashes[index]:
             raise DatasetCorruptionError(
                 store.path, f"block hash mismatch at height {height}"
             )
         chain.append(block)
 
     # -- snapshots -------------------------------------------------------
-    snap_time = floats("snap_time")
-    snap_start = store["snap_start"]
-    stx_txid = store["stx_txid"]
-    stx_arrival = floats("stx_arrival")
-    stx_fee = store["stx_fee"]
-    stx_vsize = store["stx_vsize"]
+    snap_time = column("snap_time")
+    snap_start = column("snap_start")
+    snapshot_txs = SnapshotTxInterner().txs(
+        zip(
+            column("stx_txid"),
+            column("stx_arrival"),
+            column("stx_fee"),
+            column("stx_vsize"),
+        )
+    )
     snapshots = SnapshotStore(
         MempoolSnapshot(
             time=snap_time[index],
-            txs=tuple(
-                SnapshotTx(
-                    txid=str(stx_txid[k]),
-                    arrival_time=stx_arrival[k],
-                    fee=int(stx_fee[k]),
-                    vsize=int(stx_vsize[k]),
-                )
-                for k in range(int(snap_start[index]), int(snap_start[index + 1]))
-            ),
+            # Indexed, not sliced: a torn offset must raise IndexError.
+            txs=tuple([
+                snapshot_txs[k]
+                for k in range(snap_start[index], snap_start[index + 1])
+            ]),
         )
         for index in range(len(snap_time))
     )
 
     # -- tx records ------------------------------------------------------
     label_vocab = manifest["label_vocab"]
-    rec_txid = store["rec_txid"]
-    rec_broadcast = floats("rec_broadcast")
-    rec_arrival = floats("rec_arrival")
-    rec_has_arrival = store["rec_has_arrival"]
-    rec_fee = store["rec_fee"]
-    rec_vsize = store["rec_vsize"]
-    rec_commit_height = store["rec_commit_height"]
-    rec_commit_position = store["rec_commit_position"]
-    rec_label_start = store["rec_label_start"]
-    rec_label_id = store["rec_label_id"]
+    rec_txid = column("rec_txid")
+    rec_broadcast = column("rec_broadcast")
+    rec_arrival = column("rec_arrival")
+    rec_has_arrival = column("rec_has_arrival")
+    rec_fee = column("rec_fee")
+    rec_vsize = column("rec_vsize")
+    rec_commit_height = column("rec_commit_height")
+    rec_commit_position = column("rec_commit_position")
+    rec_label_start = column("rec_label_start")
+    rec_label_id = column("rec_label_id")
     records: dict[str, TxRecord] = {}
     for index in range(store.record_count):
-        height = int(rec_commit_height[index])
-        position = int(rec_commit_position[index])
+        height = rec_commit_height[index]
+        position = rec_commit_position[index]
         record = TxRecord(
-            txid=str(rec_txid[index]),
+            txid=rec_txid[index],
             broadcast_time=rec_broadcast[index],
             observer_arrival=(
-                rec_arrival[index] if bool(rec_has_arrival[index]) else None
+                rec_arrival[index] if rec_has_arrival[index] else None
             ),
-            fee=int(rec_fee[index]),
-            vsize=int(rec_vsize[index]),
+            fee=rec_fee[index],
+            vsize=rec_vsize[index],
             commit_height=None if height == _NULL_INT else height,
             commit_position=None if position == _NULL_INT else position,
-            labels=frozenset(
-                label_vocab[int(label)]
+            labels=frozenset([
+                label_vocab[label]
                 for label in rec_label_id[
-                    int(rec_label_start[index]) : int(rec_label_start[index + 1])
+                    rec_label_start[index] : rec_label_start[index + 1]
                 ]
-            ),
+            ]),
         )
         records[record.txid] = record
 
     # -- attribution, series, metadata -----------------------------------
     pool_vocab = manifest["pool_vocab"]
     block_pools = {
-        int(height): pool_vocab[int(pool)]
+        height: pool_vocab[pool]
         for height, pool in zip(
-            store["block_pool_height"], store["block_pool_id"]
+            column("block_pool_height"), column("block_pool_id")
         )
     }
     pool_wallets = {
@@ -984,13 +984,12 @@ def _dataset_from_store(store: ColumnStore) -> Dataset:
     }
     size_series = None
     if manifest["has_size_series"]:
-        tx_counts = None
-        if manifest["has_tx_counts"]:
-            tx_counts = [int(v) for v in store["ss_count"]]
         size_series = SizeSeries(
-            times=floats("ss_time"),
-            vsizes=[int(v) for v in store["ss_vsize"]],
-            tx_counts=tx_counts,
+            times=column("ss_time"),
+            vsizes=column("ss_vsize"),
+            tx_counts=(
+                column("ss_count") if manifest["has_tx_counts"] else None
+            ),
         )
     return Dataset(
         name=manifest["name"],

@@ -42,7 +42,7 @@ from ..mempool.snapshots import (
     MempoolSnapshot,
     SizeSeries,
     SnapshotStore,
-    SnapshotTx,
+    SnapshotTxInterner,
 )
 from .dataset import Dataset
 from .records import TxRecord
@@ -176,13 +176,11 @@ def _encode_snapshot(snapshot: MempoolSnapshot) -> dict:
     }
 
 
-def _decode_snapshot(payload: dict) -> MempoolSnapshot:
+def _decode_snapshot(
+    payload: dict, interner: SnapshotTxInterner
+) -> MempoolSnapshot:
     return MempoolSnapshot(
-        time=payload["time"],
-        txs=tuple(
-            SnapshotTx(txid=t, arrival_time=a, fee=f, vsize=v)
-            for t, a, f, v in payload["txs"]
-        ),
+        time=payload["time"], txs=interner.txs(payload["txs"])
     )
 
 
@@ -218,8 +216,9 @@ def dataset_from_dict(payload: dict) -> Dataset:
     chain = Blockchain()
     for block_payload in payload["blocks"]:
         chain.append(_decode_block(block_payload, chain.tip_hash))
+    interner = SnapshotTxInterner()
     snapshots = SnapshotStore(
-        _decode_snapshot(s) for s in payload["snapshots"]
+        _decode_snapshot(s, interner) for s in payload["snapshots"]
     )
     records = {}
     for record_payload in payload["tx_records"]:

@@ -222,6 +222,23 @@ class TestCorruptionTaxonomy:
         assert "mismatch" in str(excinfo.value)
 
 
+    def test_decode_cross_checks_block_hashes(self, tmp_path, small):
+        """A corrupted header field is caught by block-hash recomputation."""
+        path = save_columnar(small, tmp_path / "small.npz")
+        raw = bytearray(path.read_bytes())
+        # Flip the exponent byte of the first block's timestamp: every
+        # txid still verifies, but the header no longer hashes to its
+        # stored block hash.
+        store = open_columns(path)
+        timestamps = store["block_timestamp"]
+        offset = timestamps.offset
+        del store, timestamps
+        raw[offset + 6] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DatasetCorruptionError) as excinfo:
+            load_columnar(path)
+        assert "block hash mismatch" in str(excinfo.value)
+
 class TestChainArraysZeroCopy:
     @pytest.mark.parametrize(
         "cpfp_filter",

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.chain.blockchain import Blockchain
 from repro.datasets.columnar import load_columnar, save_columnar
 from repro.datasets.dataset import Dataset
-from repro.datasets.io import dataset_to_dict
+from repro.datasets.io import dataset_to_dict, load_dataset, save_dataset
 from repro.datasets.records import TxRecord
 from repro.mempool.snapshots import (
     MempoolSnapshot,
@@ -99,19 +99,41 @@ def random_dataset(
             )
     snapshots = []
     if with_snapshots:
+        count = int(rng.integers(1, 6))
+        # Rows that compare equal but serialize differently: an int and
+        # a float arrival of one txid, and a signed-zero pair.  They sit
+        # in the first and the last snapshot.
+        twins = (
+            (
+                SnapshotTx(f"snap-{seed}-typed", 5, 700, 250),
+                SnapshotTx(f"snap-{seed}-zero", 0.0, 900, 300),
+            ),
+            (
+                SnapshotTx(f"snap-{seed}-typed", 5.0, 700, 250),
+                SnapshotTx(f"snap-{seed}-zero", -0.0, 900, 300),
+            ),
+        )
+        pending: list[SnapshotTx] = []
         tick = 0.0
-        for _ in range(int(rng.integers(1, 6))):
+        for index in range(count):
             # Irregular spacing produces snapshot gaps.
             tick += float(rng.uniform(15.0, 1800.0))
-            txs = tuple(
+            # Pending rows repeat verbatim until they are mined.
+            pending = [tx for tx in pending if rng.random() < 0.7]
+            pending.extend(
                 SnapshotTx(
-                    txid=f"snap-{seed}-{i}",
+                    txid=f"snap-{seed}-{index}-{i}",
                     arrival_time=tick - float(rng.uniform(0, 60)),
                     fee=int(rng.integers(1, 10_000)),
                     vsize=int(rng.integers(100, 900)),
                 )
                 for i in range(int(rng.integers(0, 5)))
             )
+            txs = tuple(pending)
+            if index == 0:
+                txs += twins[0]
+            if index == count - 1:
+                txs += twins[1]
             snapshots.append(MempoolSnapshot(time=tick, txs=txs))
     size_series = None
     if with_size_series:
@@ -177,6 +199,30 @@ def test_columnar_round_trip_is_interchange_byte_identical(
         dataset_to_dict(loaded), separators=(",", ":")
     ).encode("utf-8")
     assert decoded == original
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), blocks=st.integers(1, 4))
+def test_both_readers_intern_snapshot_rows(tmp_path_factory, seed, blocks):
+    """Decoded snapshot rows are shared exactly when they serialize alike."""
+    dataset = random_dataset(seed, blocks, True, False, False)
+    directory = tmp_path_factory.mktemp("interned")
+    gz = save_dataset(dataset, directory / "orig.json.gz")
+    original = gz.read_bytes()
+    npz = save_columnar(dataset, directory / "orig.npz")
+    for loaded in (load_columnar(npz), load_dataset(gz)):
+        again = save_dataset(loaded, directory / "again.json.gz")
+        assert again.read_bytes() == original
+        shared: dict[str, SnapshotTx] = {}
+        for snapshot in loaded.snapshots:
+            for tx in snapshot.txs:
+                row = json.dumps([tx.txid, tx.arrival_time, tx.fee, tx.vsize])
+                assert shared.setdefault(row, tx) is tx
+        assert len({id(tx) for tx in shared.values()}) == len(shared)
+        # Each twin pair stays two rows: 5 / 5.0 and 0.0 / -0.0.
+        twins = ('-typed", 5,', '-typed", 5.0,', '-zero", 0.0,', '-zero", -0.0,')
+        for twin in twins:
+            assert sum(twin in row for row in shared) == 1, twin
 
 
 @settings(max_examples=10, deadline=None)

@@ -11,6 +11,7 @@ from repro.mempool.snapshots import (
     SnapshotRecorder,
     SnapshotStore,
     SnapshotTx,
+    SnapshotTxInterner,
     congestion_bin,
     merge_stores,
 )
@@ -130,6 +131,30 @@ class TestStore:
             [SnapshotStore([snap(0.0)]), SnapshotStore([snap(15.0)])]
         )
         assert len(merged) == 2
+
+
+class TestInterner:
+    def test_equal_rows_share_one_object(self):
+        interner = SnapshotTxInterner()
+        first = interner.txs([("a", 1.5, 100, 200), ("b", 2.0, 100, 200)])
+        second = interner.txs([["a", 1.5, 100, 200]])
+        assert first == (
+            SnapshotTx("a", 1.5, 100, 200),
+            SnapshotTx("b", 2.0, 100, 200),
+        )
+        assert second[0] is first[0]
+
+    @pytest.mark.parametrize(
+        "left, right", [(5, 5.0), (0.0, -0.0), (0, 0.0), (1, True)]
+    )
+    def test_rows_that_serialize_differently_stay_apart(self, left, right):
+        """``5 == 5.0`` and ``0.0 == -0.0``, but JSON writes them apart."""
+        interner = SnapshotTxInterner()
+        (a,) = interner.txs([("t", left, 100, 200)])
+        (b,) = interner.txs([("t", right, 100, 200)])
+        assert a is not b
+        assert repr(a.arrival_time) == repr(left)
+        assert repr(b.arrival_time) == repr(right)
 
 
 class TestSizeSeries:
