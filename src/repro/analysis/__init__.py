@@ -14,7 +14,6 @@ from .runner import (
     BatteryResult,
     ExperimentOutcome,
     run_battery,
-    run_bench,
     run_one,
 )
 from .tables import format_cell, render_kv, render_table
@@ -37,7 +36,6 @@ __all__ = [
     "BatteryResult",
     "ExperimentOutcome",
     "run_battery",
-    "run_bench",
     "run_one",
     "format_cell",
     "render_kv",

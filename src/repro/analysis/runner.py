@@ -1,4 +1,4 @@
-"""Parallel experiment executor and the cold/warm benchmark harness.
+"""Parallel experiment executor and the generic shard executor.
 
 ``run_battery`` executes a list of experiment ids either in-process
 (``jobs=1``) or on a process pool, with three guarantees:
@@ -16,18 +16,14 @@
   first-builder-wins lockfile means each dataset is simulated at most
   once no matter how many workers race for it.
 
-``run_bench`` times the cold/warm × sequential/parallel grid on fresh
-cache directories and returns the measurements as a JSON-ready dict
-(the committed ``BENCH_runner.json`` baseline).
+``run_sharded`` is the same fan-out for arbitrary picklable work
+units (scenario cells, dataset builds).  The benchmark suites that time
+both live in :mod:`repro.bench`.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import multiprocessing
-import shutil
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -35,8 +31,6 @@ from pathlib import Path
 from typing import Callable, Optional, Sequence, Union
 
 from .. import obs
-from ..core.ppe import clear_prediction_cache
-from ..datasets.builder import clear_memory_cache
 from ..datasets.cache import CacheStats, DatasetCache
 from .base import DEFAULT_SCALE, DataContext, ExperimentResult
 from .experiments import ALL_RUNNERS, run_experiment
@@ -395,645 +389,3 @@ def run_sharded(
                 )
             outcomes[index] = outcome
     return list(outcomes)
-
-
-# ----------------------------------------------------------------------
-# Benchmark harness
-# ----------------------------------------------------------------------
-def _reset_process_caches() -> None:
-    """Drop every in-process memo so a bench cell measures the disk cache."""
-    clear_memory_cache()
-    clear_prediction_cache()
-    _WORKER_CONTEXTS.clear()
-
-
-def _bench_cell(
-    ids: Sequence[str], scale: float, jobs: int, cache_dir: str
-) -> tuple[dict, BatteryResult]:
-    _reset_process_caches()
-    obs_before = obs.snapshot() if obs.is_enabled() else None
-    battery = run_battery(ids, scale=scale, jobs=jobs, cache_dir=cache_dir)
-    stats = battery.cache_stats()
-    cell = {
-        "wall_seconds": round(battery.total_wall, 4),
-        "jobs": jobs,
-        "ok": battery.all_ok,
-        "raised": [o.experiment_id for o in battery.failed()],
-        "failing_checks": [o.experiment_id for o in battery.failing_checks()],
-        "cache": {
-            "hits": stats.hits,
-            "misses": stats.misses,
-            "builds": stats.builds,
-            "lock_waits": stats.lock_waits,
-        },
-        "per_experiment_seconds": {
-            o.experiment_id: round(o.wall_time, 4) for o in battery.outcomes
-        },
-    }
-    if obs_before is not None:
-        cell["obs"] = obs.delta(obs_before, obs.snapshot())
-    return cell, battery
-
-
-def run_bench(
-    experiment_ids: Sequence[str],
-    scale: float = 0.2,
-    jobs: int = 4,
-    work_dir: Optional[Union[str, Path]] = None,
-) -> dict:
-    """Time cold/warm × sequential/parallel batteries on fresh caches.
-
-    Each mode gets its own empty cache directory: the *cold* cell pays
-    for every simulation (and populates the cache), the *warm* cell
-    re-runs against the populated cache.  In-process memos are cleared
-    between cells so warm timings measure the disk cache, not leftover
-    objects.  Each cell carries its ``obs`` metrics snapshot (tracing is
-    enabled for the duration of the bench), so the committed
-    ``BENCH_runner.json`` also documents what the substrate *did* —
-    blocks mined, templates built, cache traffic.  Returns the
-    JSON-ready measurement document.
-    """
-    ids = list(experiment_ids)
-    measurements: dict[str, dict] = {}
-    reports: dict[str, str] = {}
-    with obs.tracing():
-        for mode, mode_jobs in (("sequential", 1), ("parallel", jobs)):
-            cache_dir = tempfile.mkdtemp(
-                prefix=f"repro-bench-{mode}-",
-                dir=str(work_dir) if work_dir is not None else None,
-            )
-            try:
-                for phase in ("cold", "warm"):
-                    cell, battery = _bench_cell(ids, scale, mode_jobs, cache_dir)
-                    measurements[f"{phase}_{mode}"] = cell
-                    reports[f"{phase}_{mode}"] = battery.report()
-            finally:
-                shutil.rmtree(cache_dir, ignore_errors=True)
-    _reset_process_caches()
-
-    def wall(name: str) -> float:
-        return measurements[name]["wall_seconds"]
-
-    document = {
-        "benchmark": "runner",
-        "experiments": ids,
-        "scale": scale,
-        "jobs": jobs,
-        "measurements": measurements,
-        "speedups": {
-            "warm_over_cold_sequential": round(
-                wall("cold_sequential") / max(wall("warm_sequential"), 1e-9), 2
-            ),
-            "warm_over_cold_parallel": round(
-                wall("cold_parallel") / max(wall("warm_parallel"), 1e-9), 2
-            ),
-            "parallel_over_sequential_cold": round(
-                wall("cold_sequential") / max(wall("cold_parallel"), 1e-9), 2
-            ),
-            "parallel_over_sequential_warm": round(
-                wall("warm_sequential") / max(wall("warm_parallel"), 1e-9), 2
-            ),
-        },
-        "reports_byte_identical": {
-            "parallel_vs_sequential_warm": reports["warm_parallel"]
-            == reports["warm_sequential"],
-            "warm_vs_cold_sequential": reports["warm_sequential"]
-            == reports["cold_sequential"],
-        },
-    }
-    return document
-
-
-# ----------------------------------------------------------------------
-# Scalar-vs-vectorized metrics benchmark
-# ----------------------------------------------------------------------
-def _timed(fn: Callable[[], object], repeats: int) -> tuple[float, object]:
-    """(best wall time over ``repeats``, last result)."""
-    best = math.inf
-    result: object = None
-    for _ in range(max(repeats, 1)):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-def _rows_equal(scalar_rows, fast_rows) -> bool:
-    """Row-level equality with NaN-tolerant SPPE comparison."""
-    if len(scalar_rows) != len(fast_rows):
-        return False
-    for a, b in zip(scalar_rows, fast_rows):
-        if (
-            a.owner_pool != b.owner_pool
-            or a.target_pool != b.target_pool
-            or a.test != b.test
-            or a.tx_count != b.tx_count
-        ):
-            return False
-        if a.sppe != b.sppe and not (
-            math.isnan(a.sppe) and math.isnan(b.sppe)
-        ):
-            return False
-    return True
-
-
-# ----------------------------------------------------------------------
-# Scalar-vs-vectorized engine (block production) benchmark
-# ----------------------------------------------------------------------
-#: The engine-vectorization acceptance gate: the fast path must produce
-#: blocks at least this many times faster than the scalar oracle on the
-#: dataset-C analogue.  Applied only at ``scale >= ENGINE_GATE_SCALE`` —
-#: below that, fixed per-run overhead (array packing, policy
-#: compilation) dominates and the ratio is not meaningful.
-ENGINE_GATE_SPEEDUP = 10.0
-ENGINE_GATE_SCALE = 0.3
-ENGINE_GATE_DATASET = "dataset-C"
-
-
-def _serialize_observers(result) -> dict[str, str]:
-    """Canonical JSON blob per observer — the byte-identity artefacts."""
-    from ..datasets.io import dataset_to_dict
-
-    return {
-        name: json.dumps(
-            dataset_to_dict(dataset), separators=(",", ":"), sort_keys=True
-        )
-        for name, dataset in sorted(result.datasets_by_observer.items())
-    }
-
-
-def _engine_run(
-    factory, repeats: int, scalar: bool
-) -> tuple[float, dict, dict[str, str]]:
-    """Best-of-``repeats`` block-production seconds for one engine loop.
-
-    Production time is the ``engine.run`` span minus the ``engine.curate``
-    span: admission, template building, the mining race and chain append
-    — excluding dataset curation, which is identical for both loops.
-    Returns (best seconds, counters from the best run, observer blobs).
-    """
-    best = math.inf
-    counters: dict = {}
-    blobs: dict[str, str] = {}
-    for _ in range(max(repeats, 1)):
-        with obs.tracing(reset=True):
-            result = factory().run(scalar=scalar)
-            snapshot = obs.snapshot()
-        spans = snapshot.get("spans", {})
-        production = spans.get("engine.run", {}).get(
-            "total_seconds", 0.0
-        ) - spans.get("engine.curate", {}).get("total_seconds", 0.0)
-        if production < best:
-            best = production
-            counters = snapshot.get("counters", {})
-        blobs = _serialize_observers(result)
-    return best, counters, blobs
-
-
-def run_engine_bench(scale: float = ENGINE_GATE_SCALE, repeats: int = 2) -> dict:
-    """Time the scalar engine loop against the vectorized fast path.
-
-    Runs the dataset-A and dataset-C scenario analogues at ``scale`` on
-    both loops (``scalar=True`` vs the default fast path) and
-    reports best-of-``repeats`` block-production times.  Two gates:
-
-    * **byte identity** (always): every observer's serialized dataset
-      must match between the modes, cell by cell;
-    * **speedup** (only when ``scale >= ENGINE_GATE_SCALE``): dataset C
-      must clear :data:`ENGINE_GATE_SPEEDUP` on production time.
-    """
-    from ..simulation.scenarios import dataset_a_scenario, dataset_c_scenario
-
-    factories = {
-        "dataset-A": lambda: dataset_a_scenario(scale=scale),
-        "dataset-C": lambda: dataset_c_scenario(scale=scale),
-    }
-    cells: dict[str, dict] = {}
-    for name, factory in factories.items():
-        scalar_seconds, _, scalar_blobs = _engine_run(factory, repeats, True)
-        fast_seconds, counters, fast_blobs = _engine_run(factory, repeats, False)
-        blocks = int(counters.get("engine.blocks.committed", 0))
-        cells[name] = {
-            "scalar_production_seconds": round(scalar_seconds, 4),
-            "fast_production_seconds": round(fast_seconds, 4),
-            "speedup": round(scalar_seconds / max(fast_seconds, 1e-9), 2),
-            "identical": scalar_blobs == fast_blobs,
-            "blocks_committed": blocks,
-            "fast_blocks_per_second": round(
-                blocks / max(fast_seconds, 1e-9), 2
-            ),
-            "scalar_blocks_per_second": round(
-                blocks / max(scalar_seconds, 1e-9), 2
-            ),
-            "fast_path_engaged": (
-                counters.get("engine.fast.pools_compiled", 0) > 0
-                and counters.get("engine.fast.pools_fallback", 0) == 0
-            ),
-        }
-    gate_applies = scale >= ENGINE_GATE_SCALE
-    return {
-        "benchmark": "engine",
-        "scale": scale,
-        "repeats": repeats,
-        "cells": cells,
-        "gate": {
-            "dataset": ENGINE_GATE_DATASET,
-            "min_speedup": ENGINE_GATE_SPEEDUP,
-            "applies": gate_applies,
-        },
-        "all_identical": all(c["identical"] for c in cells.values()),
-        "all_fast_path_engaged": all(
-            c["fast_path_engaged"] for c in cells.values()
-        ),
-        "speedup_ok": (
-            not gate_applies
-            or cells[ENGINE_GATE_DATASET]["speedup"] >= ENGINE_GATE_SPEEDUP
-        ),
-    }
-
-
-def run_adversaries_bench(
-    scale: float = 0.08,
-    kinds: Sequence[str] = ("fifo", "sandwich", "censor-for-rent", "selfish"),
-    repeats: int = 1,
-) -> dict:
-    """Time adversary-zoo lineups on both substrates and the sweep itself.
-
-    Two sections:
-
-    * **cells** — for each zoo ``kind``, best-of-``repeats`` block
-      production seconds on the scalar vs fast loop with the byte-identity
-      gate; zoo *template* policies are unknown to the fast path's
-      policy compiler, so these cells also record whether the
-      compiled-policy-program fallback actually engaged (the selfish
-      lineup keeps honest templates and must *not* fall back);
-    * **sweep** — cold vs cache-warm wall time of a one-seed detection
-      matrix over the same kinds plus the honest row, with the
-      honest-row false-positive bound as the gate.
-    """
-    from ..simulation.scenarios import adversary_scenario
-    from .ext_adversaries import sweep_detection_matrix
-
-    cells: dict[str, dict] = {}
-    for kind in kinds:
-        factory = lambda: adversary_scenario(kind, scale=scale)  # noqa: E731
-        scalar_seconds, _, scalar_blobs = _engine_run(factory, repeats, True)
-        fast_seconds, counters, fast_blobs = _engine_run(factory, repeats, False)
-        cells[kind] = {
-            "scalar_production_seconds": round(scalar_seconds, 4),
-            "fast_production_seconds": round(fast_seconds, 4),
-            "identical": scalar_blobs == fast_blobs,
-            "fallback_pools": int(
-                counters.get("engine.fast.pools_fallback", 0)
-            ),
-            "compiled_pools": int(
-                counters.get("engine.fast.pools_compiled", 0)
-            ),
-        }
-
-    sweep_kinds = ("honest",) + tuple(kinds)
-    sweep_seconds: dict[str, float] = {}
-    matrix = None
-    with tempfile.TemporaryDirectory(prefix="repro-adv-bench-") as tmp:
-        cache = DatasetCache(tmp)
-        for phase in ("cold", "warm"):
-            clear_memory_cache()
-            started = time.perf_counter()
-            matrix = sweep_detection_matrix(
-                scale=scale,
-                kinds=sweep_kinds,
-                seeds=(11,),
-                intensities=(1.0,),
-                cache=cache,
-            )
-            sweep_seconds[phase] = round(time.perf_counter() - started, 3)
-    honest_fpr = {c.test: c.rate for c in matrix.row("honest")}
-    template_kinds = [k for k in kinds if k != "selfish"]
-    return {
-        "benchmark": "adversaries",
-        "scale": scale,
-        "repeats": repeats,
-        "cells": cells,
-        "sweep": {
-            "kinds": list(sweep_kinds),
-            "cold_seconds": sweep_seconds["cold"],
-            "warm_seconds": sweep_seconds["warm"],
-            "honest_fpr": honest_fpr,
-            "alpha": matrix.alpha,
-        },
-        "all_identical": all(c["identical"] for c in cells.values()),
-        "fallback_exercised": all(
-            cells[k]["fallback_pools"] > 0 for k in template_kinds
-        ),
-        "honest_fpr_ok": all(
-            rate <= matrix.alpha for rate in honest_fpr.values()
-        ),
-    }
-
-
-def run_metrics_bench(
-    scale: float = 0.3,
-    cache_dir: Optional[Union[str, Path]] = None,
-    repeats: int = 2,
-) -> dict:
-    """Time the scalar oracle against the vectorized metrics core.
-
-    Builds (or loads) the dataset-C analogue at ``scale`` and times the
-    Table 2 per-pool SPPE sweep, the chain-wide PPE distribution, and
-    the Fig 6 violation grid twice: through the named scalar reference
-    functions and through the :class:`Auditor`.  Vectorized timings are
-    reported twice: *cold* (first call on a fresh auditor — pays for
-    packing the chain into arrays) and *warm* (arrays cached); the
-    headline ``speedup`` compares the scalar best against the vectorized
-    cold time, i.e. it already amortises nothing.  Each cell also checks
-    the two substrates produced identical results.
-    """
-    from ..core.audit import Auditor, self_interest_table_reference
-    from ..core.ppe import chain_ppe
-    from ..core.violations import analyze_snapshot
-    from ..datasets.builder import build_dataset_c
-
-    import numpy as np
-
-    cache = DatasetCache(cache_dir) if cache_dir is not None else DatasetCache()
-    dataset = build_dataset_c(scale=scale, cache=cache)
-    cells: dict[str, dict] = {}
-
-    def cell(
-        name: str,
-        reference: Callable[[Auditor], object],
-        run: Callable[[Auditor], object],
-        same: Callable[[object, object], bool],
-    ) -> None:
-        auditor = Auditor(dataset)
-        scalar_seconds, scalar_result = _timed(
-            lambda: reference(auditor), repeats
-        )
-        auditor = Auditor(dataset)
-        start = time.perf_counter()
-        fast_result = run(auditor)
-        cold = time.perf_counter() - start
-        warm, fast_result = _timed(lambda: run(auditor), repeats)
-        cells[name] = {
-            "scalar_seconds": round(scalar_seconds, 4),
-            "vectorized_cold_seconds": round(cold, 4),
-            "vectorized_warm_seconds": round(warm, 4),
-            "speedup": round(scalar_seconds / max(cold, 1e-9), 2),
-            "warm_speedup": round(scalar_seconds / max(warm, 1e-9), 2),
-            "identical": bool(same(scalar_result, fast_result)),
-        }
-
-    epsilons = (0.0, 10.0, 600.0)
-
-    def violation_grid_reference(auditor: Auditor) -> dict:
-        views = auditor.snapshot_views(rng=np.random.default_rng(30))
-        return {
-            epsilon: [analyze_snapshot(view, epsilon) for view in views]
-            for epsilon in epsilons
-        }
-
-    cell(
-        "table2_sppe_sweep",
-        self_interest_table_reference,
-        lambda auditor: auditor.self_interest_table(),
-        _rows_equal,
-    )
-    cell(
-        "ppe_distribution",
-        lambda auditor: chain_ppe(auditor.dataset.chain),
-        lambda auditor: auditor.ppe_distribution(),
-        lambda a, b: a == b,
-    )
-    cell(
-        "fig6_violation_grid",
-        violation_grid_reference,
-        lambda auditor: auditor.violation_stats_multi(
-            epsilons, rng=np.random.default_rng(30)
-        ),
-        lambda a, b: a == b,
-    )
-    return {
-        "benchmark": "metrics",
-        "dataset": "dataset_c",
-        "scale": scale,
-        "repeats": repeats,
-        "cells": cells,
-        "table2_speedup": cells["table2_sppe_sweep"]["speedup"],
-        "all_identical": all(c["identical"] for c in cells.values()),
-        # Warm-vs-warm: the scalar timings are best-of-N, so per-block
-        # memos built by earlier repeats make them effectively warm; the
-        # fair "never slower" gate compares against vectorized warm.
-        "vectorized_never_slower": all(
-            c["warm_speedup"] >= 1.0 for c in cells.values()
-        ),
-    }
-
-
-# ----------------------------------------------------------------------
-# Columnar-dataset benchmark (cold sharded builds / warm mmap loads)
-# ----------------------------------------------------------------------
-def _build_dataset_shard(cell) -> dict:
-    """Pool worker: build one of the A/B/C analogues through the cache."""
-    from ..datasets import builder as dataset_builder
-
-    name, scale, cache_dir = cell
-    build = {
-        "A": dataset_builder.build_dataset_a,
-        "B": dataset_builder.build_dataset_b,
-        "C": dataset_builder.build_dataset_c,
-    }[name]
-    cache = DatasetCache(cache_dir)
-    start = time.perf_counter()
-    dataset = build(scale=scale, cache=cache)
-    seconds = time.perf_counter() - start
-    return {
-        "dataset": name,
-        "build_seconds": round(seconds, 3),
-        "blocks": dataset.block_count,
-        "records": dataset.tx_count,
-        "snapshots": len(dataset.snapshots),
-        "columnar_attached": dataset.columnar is not None,
-    }
-
-
-def run_datasets_bench(
-    scale: float = 1.0,
-    jobs: int = 4,
-    battery_ids: Optional[Sequence[str]] = None,
-    work_dir: Optional[Union[str, Path]] = None,
-) -> dict:
-    """Benchmark the columnar dataset pipeline end to end.
-
-    Four sections over one fresh cache directory:
-
-    * **cold** — the A/B/C analogues built once each, sharded across
-      the process pool (``jobs``), every entry persisted in both
-      formats with the on-disk sizes recorded;
-    * **warm** — the same datasets re-loaded from the populated cache
-      (in-process memos cleared first), which must come back through
-      the memory-mapped sidecar;
-    * **chain_arrays / table2_warm** — packing cost via mmap vs the
-      object-graph walk on dataset C, then a warm Table 2 sweep with
-      the ``vectorized.chain_arrays.*`` counters, gating that the
-      zero-copy path engaged and **zero** fallbacks occurred;
-    * **battery** — a full paper battery at ``scale`` against the warm
-      cache (scenario-only datasets still build cold inside it).
-
-    Gates: interchange **byte identity** for every dataset loaded back
-    from the columnar store, the mmap path engaging with no fallback on
-    the warm sweep, and the battery completing.
-    """
-    import gzip
-
-    import numpy as np
-
-    from ..core.audit import Auditor
-    from ..core.vectorized import ChainArrays
-    from ..datasets import builder as dataset_builder
-    from ..datasets.builder import disk_cache_key
-    from ..datasets.columnar import columnar_sidecar
-    from ..datasets.io import dataset_to_dict
-    from ..simulation.scenarios import (
-        dataset_a_scenario,
-        dataset_b_scenario,
-        dataset_c_scenario,
-    )
-    from .experiments import EXPERIMENTS
-
-    ids = list(battery_ids) if battery_ids is not None else list(EXPERIMENTS)
-    scenarios = {
-        "A": dataset_a_scenario(scale=scale),
-        "B": dataset_b_scenario(scale=scale),
-        "C": dataset_c_scenario(scale=scale),
-    }
-    cache_root = tempfile.mkdtemp(
-        prefix="repro-bench-datasets-",
-        dir=str(work_dir) if work_dir is not None else None,
-    )
-    try:
-        with obs.tracing():
-            # -- cold: shard the three builds across the pool ----------
-            _reset_process_caches()
-            cells = [(name, scale, cache_root) for name in ("A", "B", "C")]
-            started = time.perf_counter()
-            outcomes = run_sharded(cells, _build_dataset_shard, jobs=jobs)
-            cold_wall = time.perf_counter() - started
-            cache = DatasetCache(cache_root)
-            cold: dict[str, dict] = {}
-            for (name, _, _), outcome in zip(cells, outcomes):
-                entry = (
-                    dict(outcome.value)
-                    if outcome.ok
-                    else {"dataset": name, "error": outcome.error}
-                )
-                path = cache.path_for(disk_cache_key(scenarios[name]))
-                sidecar = columnar_sidecar(path)
-                if path.exists():
-                    entry["gzip_bytes"] = path.stat().st_size
-                if sidecar.exists():
-                    entry["columnar_bytes"] = sidecar.stat().st_size
-                cold[name] = entry
-
-            # -- warm: loads must come back memory-mapped --------------
-            _reset_process_caches()
-            builders = {
-                "A": dataset_builder.build_dataset_a,
-                "B": dataset_builder.build_dataset_b,
-                "C": dataset_builder.build_dataset_c,
-            }
-            warm: dict[str, dict] = {}
-            datasets: dict[str, object] = {}
-            for name, build in builders.items():
-                started = time.perf_counter()
-                dataset = build(scale=scale, cache=cache)
-                seconds = time.perf_counter() - started
-                datasets[name] = dataset
-                warm[name] = {
-                    "load_seconds": round(seconds, 3),
-                    "mmap_attached": dataset.columnar is not None,
-                }
-
-            # -- byte identity: columnar round-trip == gzip interchange
-            byte_identity: dict[str, bool] = {}
-            for name, dataset in datasets.items():
-                path = cache.path_for(disk_cache_key(scenarios[name]))
-                with gzip.open(path, "rb") as handle:
-                    interchange = handle.read()
-                serialized = json.dumps(
-                    dataset_to_dict(dataset), separators=(",", ":")
-                ).encode("utf-8")
-                byte_identity[name] = serialized == interchange
-
-            # -- packing: mmap vs object graph on dataset C ------------
-            dataset_c = datasets["C"]
-            mmap_seconds, packed_mmap = _timed(
-                lambda: ChainArrays.from_dataset(dataset_c), 1
-            )
-            object_seconds, packed_objects = _timed(
-                lambda: ChainArrays.from_blocks(
-                    dataset_c.chain, dataset_c.block_pools
-                ),
-                1,
-            )
-            packs_identical = (
-                packed_mmap.txids == packed_objects.txids
-                and np.array_equal(
-                    packed_mmap.fee_rates, packed_objects.fee_rates
-                )
-                and np.array_equal(
-                    packed_mmap.predicted_rank, packed_objects.predicted_rank
-                )
-            )
-
-            # -- warm Table 2 with the pack-path counters --------------
-            obs_before = obs.snapshot()
-            table2_seconds, _ = _timed(
-                lambda: Auditor(dataset_c).self_interest_table(), 1
-            )
-            pack_counters = obs.delta(obs_before, obs.snapshot()).get(
-                "counters", {}
-            )
-            mmap_packs = int(
-                pack_counters.get("vectorized.chain_arrays.mmap", 0)
-            )
-            fallback_packs = int(
-                pack_counters.get("vectorized.chain_arrays.fallback", 0)
-            )
-
-            # -- a full paper battery against the warm cache -----------
-            battery_cell, _ = _bench_cell(ids, scale, jobs, cache_root)
-    finally:
-        shutil.rmtree(cache_root, ignore_errors=True)
-    _reset_process_caches()
-
-    gates = {
-        "byte_identical": all(byte_identity.values()),
-        "mmap_engaged": mmap_packs > 0 and fallback_packs == 0,
-        "battery_ok": not battery_cell["raised"],
-    }
-    return {
-        "benchmark": "datasets",
-        "scale": scale,
-        "jobs": jobs,
-        "experiments": ids,
-        "cold": {
-            "wall_seconds": round(cold_wall, 3),
-            "sharded": jobs > 1 and len(cells) > 1,
-            "datasets": cold,
-        },
-        "warm": warm,
-        "byte_identity": byte_identity,
-        "chain_arrays": {
-            "mmap_pack_seconds": round(mmap_seconds, 4),
-            "object_pack_seconds": round(object_seconds, 4),
-            "speedup": round(object_seconds / max(mmap_seconds, 1e-9), 2),
-            "identical": bool(packs_identical),
-        },
-        "table2_warm": {
-            "seconds": round(table2_seconds, 4),
-            "mmap_packs": mmap_packs,
-            "fallback_packs": fallback_packs,
-        },
-        "battery": battery_cell,
-        "gates": gates,
-    }

@@ -7,8 +7,8 @@ Usage::
     repro-audit run everything --scale 0.25 --jobs 4 --out experiments.txt
     repro-audit run fig7 --scale 0.1 --trace --trace-out obs_metrics.json
     repro-audit obs obs_metrics.json
-    repro-audit bench --scale 0.2 --jobs 4 --out BENCH_runner.json
-    repro-audit bench --suite datasets --datasets-scale 1.0
+    repro-audit bench --jobs 4 --out BENCH_runner.json
+    repro-audit bench --suite engine,metrics --scale 0.1
     repro-audit dataset C --scale 0.1 --out dataset_c.json.gz --columnar dataset_c.npz
     repro-audit faults --scale 0.05 --loss 0 0.05 0.5 --downtime 0 0.25
     repro-audit adversaries --scale 0.08 --csv detection_matrix.csv
@@ -17,6 +17,10 @@ Usage::
 Datasets are simulated once and cached under ``--cache-dir`` (default
 ``~/.cache/repro-audit``); warm runs load them from disk instead of
 re-simulating.  ``--no-cache`` opts out.
+
+``bench`` runs the suites of :mod:`repro.bench` and merges their
+documents into ``--out`` as ``{suite: document}``; it exits 1 and prints
+``FAIL: <suite>.<gate>`` for every false entry of a document's ``gates``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from typing import Optional, Sequence
 
 from .analysis.base import DEFAULT_SCALE
 from .analysis.experiments import ALL_RUNNERS, EXPERIMENTS, EXTENSIONS
+from .bench import SUITES
 from .datasets.builder import build_dataset_a, build_dataset_b, build_dataset_c
 from .datasets.cache import DEFAULT_CACHE_DIR
 from .datasets.io import atomic_write_text, save_dataset
@@ -105,89 +110,48 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench_parser = sub.add_parser(
         "bench",
-        help="benchmark cold/warm x sequential/parallel experiment runs",
+        help="run the benchmark suites and check their gates",
         description=(
-            "Time the experiment battery over the cold/warm x "
-            "sequential/parallel grid on fresh cache directories and "
-            "write the measurements as JSON (BENCH_runner.json)."
+            "Run the selected benchmark suites, merge each suite's "
+            "document into the --out JSON file ({suite: document}; suites "
+            "that did not run keep their entries) and exit 1 if any gate "
+            "is false."
         ),
     )
     bench_parser.add_argument(
         "experiments",
         nargs="*",
         default=["all"],
-        help="experiment ids, 'all' (paper artefacts, the default) or "
-        "'everything' (artefacts + extensions/ablations)",
+        help="experiment ids for the runner and datasets batteries, 'all' "
+        "(paper artefacts, the default) or 'everything'",
     )
     bench_parser.add_argument(
         "--scale",
         type=float,
-        default=0.2,
-        help="simulation scale for the benchmark (default 0.2, the "
-        "smallest scale at which every paper-battery shape check passes)",
+        default=None,
+        help="simulation scale for every selected suite (default: each "
+        "suite's own: "
+        + ", ".join(f"{name} {scale:g}" for name, (_, scale) in SUITES.items())
+        + ")",
     )
     bench_parser.add_argument(
-        "--jobs", type=int, default=4, help="workers for the parallel cells"
+        "--jobs",
+        type=int,
+        default=4,
+        help="workers for the runner grid's parallel cells and the datasets "
+        "suite's sharded builds and battery (default 4)",
+    )
+    bench_parser.add_argument(
+        "--suite",
+        default="runner",
+        help=f"comma-separated subset of {{{', '.join(SUITES)}}}, or 'full' "
+        "for all of them (default runner); see repro.bench",
     )
     bench_parser.add_argument(
         "--out",
         type=str,
         default="BENCH_runner.json",
-        help="where to write the JSON measurements",
-    )
-    bench_parser.add_argument(
-        "--suite",
-        default="runner",
-        help="comma-separated subset of {runner, metrics, service, "
-        "engine, adversaries, datasets}, or 'full' for all of them: "
-        "'runner' times the experiment battery grid, 'metrics' the "
-        "scalar-vs-vectorized audit kernels, 'service' the streaming "
-        "audit service query storm, 'engine' the scalar-vs-vectorized "
-        "block-production loop, 'adversaries' the ordering-attack zoo "
-        "on both substrates plus the detection-matrix sweep, 'datasets' "
-        "the columnar-store grid (sharded cold builds, warm mmap loads, "
-        "interchange byte-identity, zero-copy ChainArrays packing)",
-    )
-    bench_parser.add_argument(
-        "--metrics-scale",
-        type=float,
-        default=0.3,
-        help="dataset scale for the metrics suite (default 0.3)",
-    )
-    bench_parser.add_argument(
-        "--engine-scale",
-        type=float,
-        default=0.3,
-        help="dataset scale for the engine suite (default 0.3, where "
-        "the dataset-C speedup gate applies; smaller scales only check "
-        "byte identity)",
-    )
-    bench_parser.add_argument(
-        "--service-scale",
-        type=float,
-        default=0.2,
-        help="dataset scale for the service query-storm cell (default 0.2)",
-    )
-    bench_parser.add_argument(
-        "--adversaries-scale",
-        type=float,
-        default=0.08,
-        help="dataset scale for the adversary-zoo suite (default 0.08, "
-        "the detection-matrix sweep scale)",
-    )
-    bench_parser.add_argument(
-        "--datasets-scale",
-        type=float,
-        default=1.0,
-        help="dataset scale for the datasets suite (default 1.0: the "
-        "full-size A/B/C battery the columnar contract is stated at)",
-    )
-    bench_parser.add_argument(
-        "--datasets-jobs",
-        type=int,
-        default=4,
-        help="shard workers for the datasets suite's cold builds "
-        "(default 4)",
+        help="JSON file to merge the suite documents into",
     )
 
     dataset_parser = sub.add_parser(
@@ -464,132 +428,52 @@ def _run_command(args: argparse.Namespace) -> int:
 
 
 def _bench_command(args: argparse.Namespace) -> int:
-    from .analysis.runner import (
-        run_adversaries_bench,
-        run_bench,
-        run_engine_bench,
-        run_metrics_bench,
-    )
-
-    known = {"runner", "metrics", "service", "engine", "adversaries", "datasets"}
-    suites = (
-        set(known)
+    requested = (
+        set(SUITES)
         if args.suite == "full"
         else {part.strip() for part in args.suite.split(",") if part.strip()}
     )
-    unknown = suites - known
-    if unknown or not suites:
+    unknown = requested - set(SUITES)
+    if unknown or not requested:
         print(
             f"error: unknown bench suite(s) {sorted(unknown)}; "
-            f"pick from {sorted(known)} or 'full'",
+            f"pick from {list(SUITES)} or 'full'",
+            file=sys.stderr,
+        )
+        return 2
+    ids = _resolve_ids(args.experiments)
+    if ids is None:
+        return 2
+    try:
+        with open(args.out, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except FileNotFoundError:
+        document = {}
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot read {args.out}: {exc}", file=sys.stderr)
+        return 2
+    if not isinstance(document, dict) or not set(document) <= set(SUITES):
+        print(
+            f"error: {args.out} is not a {{suite: document}} bench file",
             file=sys.stderr,
         )
         return 2
 
     exit_code = 0
-    if "runner" in suites:
-        ids = _resolve_ids(args.experiments)
-        if ids is None:
-            return 2
-        document = run_bench(ids, scale=args.scale, jobs=args.jobs)
-    else:
-        document = {"benchmark": "+".join(sorted(suites)) + "-only"}
-    if "metrics" in suites:
-        metrics = run_metrics_bench(scale=args.metrics_scale)
-        document["metrics"] = metrics
-        if not metrics["all_identical"]:
-            print(
-                "FAIL: vectorized metrics differ from the scalar oracle",
-                file=sys.stderr,
-            )
-            exit_code = 1
-        if not metrics["vectorized_never_slower"]:
-            print(
-                "FAIL: vectorized path slower than the scalar oracle",
-                file=sys.stderr,
-            )
-            exit_code = 1
-    if "engine" in suites:
-        engine = run_engine_bench(scale=args.engine_scale)
-        document["engine"] = engine
-        if not engine["all_identical"]:
-            print(
-                "FAIL: fast engine datasets differ from the scalar oracle",
-                file=sys.stderr,
-            )
-            exit_code = 1
-        if not engine["all_fast_path_engaged"]:
-            print(
-                "FAIL: the fast engine path fell back to the scalar loop",
-                file=sys.stderr,
-            )
-            exit_code = 1
-        if not engine["speedup_ok"]:
-            print(
-                "FAIL: fast engine below the dataset-C speedup gate "
-                f"({engine['cells']['dataset-C']['speedup']}x < "
-                f"{engine['gate']['min_speedup']}x)",
-                file=sys.stderr,
-            )
-            exit_code = 1
-    if "adversaries" in suites:
-        adversaries = run_adversaries_bench(scale=args.adversaries_scale)
-        document["adversaries"] = adversaries
-        if not adversaries["all_identical"]:
-            print(
-                "FAIL: adversary-zoo datasets differ between the fast "
-                "engine and the scalar oracle",
-                file=sys.stderr,
-            )
-            exit_code = 1
-        if not adversaries["fallback_exercised"]:
-            print(
-                "FAIL: a zoo template policy was compiled instead of "
-                "exercising the fallback path",
-                file=sys.stderr,
-            )
-            exit_code = 1
-        if not adversaries["honest_fpr_ok"]:
-            print(
-                "FAIL: honest-lineup false-positive rate exceeds alpha",
-                file=sys.stderr,
-            )
-            exit_code = 1
-    if "datasets" in suites:
-        from .analysis.runner import run_datasets_bench
-
-        datasets = run_datasets_bench(
-            scale=args.datasets_scale, jobs=args.datasets_jobs
-        )
-        document["datasets"] = datasets
-        gates = datasets["gates"]
-        if not gates["byte_identical"]:
-            print(
-                "FAIL: columnar interchange bytes differ from gzip-JSON",
-                file=sys.stderr,
-            )
-            exit_code = 1
-        if not gates["mmap_engaged"]:
-            print(
-                "FAIL: ChainArrays fell back to the object-graph pack "
-                "on a columnar-backed dataset",
-                file=sys.stderr,
-            )
-            exit_code = 1
-        if not gates["battery_ok"]:
-            print(
-                "FAIL: the experiment battery raised on columnar-cached "
-                "datasets",
-                file=sys.stderr,
-            )
-            exit_code = 1
-    if "service" in suites:
-        from .service.bench import run_service_bench
-
-        document["service"] = run_service_bench(scale=args.service_scale)
-    text = json.dumps(document, indent=2, sort_keys=True)
-    atomic_write_text(args.out, text + "\n")
-    print(text)
+    ran = [name for name in SUITES if name in requested]
+    for name in ran:
+        run, default_scale = SUITES[name]
+        scale = default_scale if args.scale is None else args.scale
+        document[name] = run(ids, scale, args.jobs)
+        for gate, passed in document[name]["gates"].items():
+            if not passed:
+                print(f"FAIL: {name}.{gate}", file=sys.stderr)
+                exit_code = 1
+    atomic_write_text(
+        args.out, json.dumps(document, indent=2, sort_keys=True) + "\n"
+    )
+    ran_documents = {name: document[name] for name in ran}
+    print(json.dumps(ran_documents, indent=2, sort_keys=True))
     print(f"\nbenchmark written to {args.out}")
     return exit_code
 

@@ -13,11 +13,11 @@ same audits running against a chain that is still growing:
   endpoints wired into :mod:`repro.obs`, and quality annotations on
   every answer;
 * :mod:`repro.service.client` — an idempotent retry-with-backoff
-  client helper used by the chaos harness and the CLI replay;
-* :mod:`repro.service.bench` — the query-storm benchmark cell.
+  client helper used by the chaos harness and the CLI replay.
 
 The analytical core is :class:`repro.core.audit.StreamingAuditor`; the
-service adds only durability and transport.
+service adds only durability and transport; its query-storm benchmark
+is the ``service`` suite of :mod:`repro.bench`.
 """
 
 from .client import AuditClient, ServiceUnavailable

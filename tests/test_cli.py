@@ -55,7 +55,7 @@ class TestRun:
         assert par_file.read_bytes() == seq_file.read_bytes()
 
     def test_cache_stats_reported(self, tmp_path, capsys):
-        from repro.analysis.runner import _reset_process_caches
+        from repro.bench import _reset_process_caches
 
         cache = tmp_path / "cache"
         args = ["run", "fig5", "--scale", "0.04", "--cache-dir", str(cache)]
@@ -74,7 +74,7 @@ class TestRun:
 
 class TestTrace:
     def test_trace_writes_wellformed_metrics_json(self, tmp_path, capsys):
-        from repro.analysis.runner import _reset_process_caches
+        from repro.bench import _reset_process_caches
 
         trace_file = tmp_path / "obs.json"
         _reset_process_caches()
@@ -105,7 +105,7 @@ class TestTrace:
         assert snap["spans"]["runner.experiment"]["total_seconds"] > 0
 
     def test_traced_report_byte_identical_to_untraced(self, tmp_path, capsys):
-        from repro.analysis.runner import _reset_process_caches
+        from repro.bench import _reset_process_caches
 
         cache = tmp_path / "cache"
         plain_file = tmp_path / "plain.txt"
@@ -175,7 +175,7 @@ class TestBench:
             ]
         )
         assert code == 0
-        document = json.loads(out_file.read_text())
+        document = json.loads(out_file.read_text())["runner"]
         cells = document["measurements"]
         for cell in (
             "cold_sequential",
@@ -191,9 +191,77 @@ class TestBench:
             assert cell["obs"]["counters"]["runner.experiments.ok"] == 1
         assert cells["cold_sequential"]["obs"]["counters"]["cache.builds"] == 1
         assert document["speedups"]["warm_over_cold_sequential"] > 0
-        identical = document["reports_byte_identical"]
+        identical = document["gates"]
         assert identical["parallel_vs_sequential_warm"]
         assert identical["warm_vs_cold_sequential"]
+
+    def test_differing_parallel_report_fails_the_gate(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.analysis.runner import BatteryResult
+
+        report = BatteryResult.report
+
+        def report_naming_jobs(self):
+            return report(self) + f"\njobs={self.jobs}"
+
+        # The parallel battery now assembles a different report than the
+        # sequential one; the runner suite must fail on that gate alone.
+        monkeypatch.setattr(BatteryResult, "report", report_naming_jobs)
+        out_file = tmp_path / "bench.json"
+        code = main(
+            [
+                "bench", "table5",
+                "--scale", "0.04",
+                "--jobs", "2",
+                "--out", str(out_file),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "FAIL: runner.parallel_vs_sequential_warm" in err
+        assert "warm_vs_cold_sequential" not in err
+        gates = json.loads(out_file.read_text())["runner"]["gates"]
+        assert gates == {
+            "parallel_vs_sequential_warm": False,
+            "warm_vs_cold_sequential": True,
+        }
+
+    def test_false_gate_exits_1_and_names_it(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.bench import SUITES
+
+        def failing_suite(ids, scale, jobs):
+            return {"scale": scale, "gates": {"holds": True, "broken": False}}
+
+        monkeypatch.setitem(SUITES, "service", (failing_suite, 0.5))
+        out_file = tmp_path / "bench.json"
+        code = main(["bench", "--suite", "service", "--out", str(out_file)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "FAIL: service.broken" in err
+        assert "service.holds" not in err
+        # The default scale comes from the registry entry.
+        assert json.loads(out_file.read_text())["service"]["scale"] == 0.5
+
+    def test_unknown_suite_exits_2(self, tmp_path, capsys):
+        code = main(
+            ["bench", "--suite", "nope", "--out", str(tmp_path / "b.json")]
+        )
+        assert code == 2
+        assert "unknown bench suite" in capsys.readouterr().err
+        assert not (tmp_path / "b.json").exists()
+
+    def test_old_shape_out_file_exits_2_before_running(
+        self, tmp_path, capsys
+    ):
+        out_file = tmp_path / "bench.json"
+        out_file.write_text('{"benchmark": "runner"}')
+        code = main(["bench", "--suite", "service", "--out", str(out_file)])
+        assert code == 2
+        assert "not a {suite: document} bench file" in capsys.readouterr().err
+        assert out_file.read_text() == '{"benchmark": "runner"}'
 
 
 class TestRunTimeout:
@@ -236,17 +304,41 @@ class TestBenchServiceSuite:
             [
                 "bench",
                 "--suite", "service",
-                "--service-scale", "0.06",
+                "--scale", "0.06",
                 "--out", str(out_file),
             ]
         )
         assert code == 0
         document = json.loads(out_file.read_text())
+        assert set(document) == {"service"}
         cell = document["service"]
-        assert cell["benchmark"] == "service-query-storm"
         assert cell["blocks"] > 0
         assert cell["queries_per_second"] > 0
         assert cell["ingest_blocks_per_second"] > 0
+
+    def test_out_file_keeps_the_suites_that_did_not_run(
+        self, tmp_path, capsys
+    ):
+        import os
+
+        out_file = tmp_path / "bench.json"
+        engine = {"scale": 0.3, "jobs": 1, "nproc": None, "gates": {}}
+        out_file.write_text(json.dumps({"engine": engine}))
+        code = main(
+            [
+                "bench",
+                "--suite", "service",
+                "--scale", "0.05",
+                "--out", str(out_file),
+            ]
+        )
+        assert code == 0
+        document = json.loads(out_file.read_text())
+        assert document["engine"] == engine
+        assert document["service"]["scale"] == 0.05
+        assert document["service"]["jobs"] == 1
+        assert document["service"]["nproc"] == os.cpu_count()
+        assert document["service"]["gates"] == {}
 
 
 class TestServe:

@@ -1,4 +1,4 @@
-"""Tests for the parallel experiment runner and benchmark harness."""
+"""Tests for the parallel experiment runner."""
 
 import pytest
 

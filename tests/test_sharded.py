@@ -10,11 +10,8 @@ matrix for any ``jobs``) and the ``bench --suite datasets`` grid.
 import pytest
 
 from repro import obs
-from repro.analysis.runner import (
-    ShardOutcome,
-    run_datasets_bench,
-    run_sharded,
-)
+from repro.analysis.runner import ShardOutcome, run_sharded
+from repro.bench import bench_datasets
 
 
 # ----------------------------------------------------------------------
@@ -117,14 +114,9 @@ class TestShardedAdversarySweep:
 
 
 class TestDatasetsBench:
-    def test_smoke_grid_passes_all_gates(self, tmp_path):
-        document = run_datasets_bench(
-            scale=0.02,
-            jobs=2,
-            battery_ids=["table2"],
-            work_dir=tmp_path,
-        )
-        assert document["benchmark"] == "datasets"
+    def test_smoke_grid_passes_all_gates(self):
+        document = bench_datasets(["table2"], 0.02, 2)
+        assert (document["scale"], document["jobs"]) == (0.02, 2)
         gates = document["gates"]
         assert gates["byte_identical"]
         assert gates["mmap_engaged"]
