@@ -18,10 +18,10 @@ from ..simulation.scenarios import (
     dataset_b_scenario,
     dataset_c_scenario,
 )
-from .cache import CacheKey, DatasetCache
-from .columnar import columnar_sidecar, load_columnar_if_exists, save_columnar
+from .cache import CacheKey, DatasetCache, write_entry
+from .columnar import columnar_sidecar, load_columnar_if_exists
 from .dataset import Dataset
-from .io import DatasetCorruptionError, dataset_path, load_if_exists, save_dataset
+from .io import DatasetCorruptionError, dataset_path, load_if_exists
 
 _MEMORY_CACHE: dict[tuple[str, int, float], Dataset] = {}
 
@@ -82,11 +82,7 @@ def build_dataset(
     if use_memory_cache:
         _MEMORY_CACHE[key] = dataset
     if path is not None:
-        try:
-            save_columnar(dataset, columnar_sidecar(path))
-        except (ValueError, OverflowError, OSError):
-            pass  # gzip-only datasets keep working; interchange rules
-        save_dataset(dataset, path)
+        write_entry(dataset, path)
     return dataset
 
 

@@ -154,6 +154,39 @@ class CacheStats:
         )
 
 
+def _write_sidecar(dataset: Dataset, sidecar: Path) -> None:
+    """Write (or re-heal) the columnar sidecar and attach its store.
+
+    Datasets the columnar writer refuses — e.g. float-typed values in
+    integer columns, which could not round-trip byte-identically — stay
+    gzip-only; the interchange file remains authoritative.
+    """
+    try:
+        save_columnar(dataset, sidecar)
+    except (ValueError, OverflowError, OSError):
+        obs.counter("cache.sidecar_skipped")
+        return
+    try:
+        store = ColumnStore(sidecar)
+        if store.matches(dataset):
+            dataset.columnar = store
+    except (DatasetCorruptionError, OSError):
+        pass
+
+
+def write_entry(dataset: Dataset, path: Path) -> Path:
+    """Persist ``dataset`` as the entry at ``path`` (atomic, deterministic).
+
+    The columnar sidecar goes down first, the gzip-JSON interchange
+    last: readers treat the gzip artifact as the completion marker, so
+    no process can observe an entry whose sidecar is still missing or
+    half-written.  A dataset the columnar writer refuses is stored
+    gzip-only.
+    """
+    _write_sidecar(dataset, columnar_sidecar(path))
+    return save_dataset(dataset, path)
+
+
 class DatasetCache:
     """On-disk dataset store keyed by :class:`CacheKey`.
 
@@ -190,25 +223,6 @@ class DatasetCache:
         except OSError:
             pass
 
-    def _write_sidecar(self, dataset: Dataset, sidecar: Path) -> None:
-        """Write (or re-heal) the columnar sidecar and attach its store.
-
-        Datasets the columnar writer refuses — e.g. float-typed values
-        in integer columns, which could not round-trip byte-identically
-        — stay gzip-only; the interchange file remains authoritative.
-        """
-        try:
-            save_columnar(dataset, sidecar)
-        except (ValueError, OverflowError, OSError):
-            obs.counter("cache.sidecar_skipped")
-            return
-        try:
-            store = ColumnStore(sidecar)
-            if store.matches(dataset):
-                dataset.columnar = store
-        except (DatasetCorruptionError, OSError):
-            pass
-
     def _load(self, path: Path) -> Optional[Dataset]:
         """Load the entry at ``path`` if valid; evict what is corrupt.
 
@@ -240,7 +254,7 @@ class DatasetCache:
                 except OSError:
                     pass
             return None
-        self._write_sidecar(dataset, sidecar)
+        _write_sidecar(dataset, sidecar)
         return dataset
 
     def load(self, key: CacheKey) -> Optional[Dataset]:
@@ -255,16 +269,8 @@ class DatasetCache:
         return dataset
 
     def store(self, key: CacheKey, dataset: Dataset) -> Path:
-        """Persist ``dataset`` under ``key`` (atomic, deterministic).
-
-        The columnar sidecar goes down first, the gzip-JSON interchange
-        last: waiters in the lockfile protocol treat the gzip artifact
-        as the completion marker, so no process can observe an entry
-        whose sidecar is still missing or half-written.
-        """
-        path = self.path_for(key)
-        self._write_sidecar(dataset, columnar_sidecar(path))
-        return save_dataset(dataset, path)
+        """Persist ``dataset`` under ``key`` through :func:`write_entry`."""
+        return write_entry(dataset, self.path_for(key))
 
     def get_or_build(
         self, key: CacheKey, build: Callable[[], Dataset]

@@ -29,6 +29,14 @@ gzip-JSON interchange — dict insertion orders, int-vs-float JSON typing
 and optional fields all survive.  The integer-typed entries of float
 columns are listed in the manifest so ``1`` never comes back as ``1.0``.
 
+Writing is a bulk encode.  Rows gather into plain Python lists (one
+``extend`` per block or snapshot) and each column becomes one typed
+array at the end, as wide as its longest string.  The type checks run
+over whole columns and form the writer's refusal contract: int columns
+take only plain ints (no ``bool``, no ``1.0``), float columns only ints
+and floats, string columns and labels only ``str``.  A dataset that
+breaks it raises ``ValueError`` and stays gzip-only.
+
 Robustness mirrors the gzip reader: truncated, torn, or otherwise
 undecodable files raise :class:`~repro.datasets.io.DatasetCorruptionError`
 with the byte offset where the reader stopped, and writes go through a
@@ -141,396 +149,193 @@ def columnar_sidecar(path: Union[str, Path]) -> Path:
 
 
 # ----------------------------------------------------------------------
-# Pre-grown column buffers
+# Bulk column encode
 # ----------------------------------------------------------------------
-class ColumnBuffer:
-    """A typed append-only buffer that grows geometrically.
+class _Columns:
+    """Typed columns, each made in one step from a plain Python list.
 
-    Dataset construction streams block-by-block into these instead of
-    materialising intermediate Python lists: each append writes straight
-    into a preallocated numpy array, doubled when full.
-    """
-
-    __slots__ = ("_data", "_size")
-
-    def __init__(self, dtype, capacity: int = 1024) -> None:
-        self._data = np.empty(max(capacity, 1), dtype=np.dtype(dtype))
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def _reserve(self, needed: int) -> None:
-        capacity = len(self._data)
-        if needed <= capacity:
-            return
-        grown = np.empty(max(needed, 2 * capacity), dtype=self._data.dtype)
-        grown[: self._size] = self._data[: self._size]
-        self._data = grown
-
-    def append(self, value) -> None:
-        self._reserve(self._size + 1)
-        self._data[self._size] = value
-        self._size += 1
-
-    def finish(self) -> np.ndarray:
-        """The compacted column (a copy; the buffer stays reusable)."""
-        return self._data[: self._size].copy()
-
-
-class _IntColumn(ColumnBuffer):
-    """int64 column; rejects anything that is not a plain Python int.
-
-    The interchange JSON distinguishes ``1`` from ``1.0`` and ``true``;
-    an int column silently coercing either would break byte identity,
-    so the writer refuses such datasets (the gzip interchange remains
+    Rows are gathered with ``list.extend`` per block or snapshot and
+    turned into one array per column.  The type checks run over a whole
+    column at once and are the writer's refusal contract: the
+    interchange JSON distinguishes ``1`` from ``1.0`` and ``true``, so a
+    column that silently coerced either would break byte identity.  The
+    writer refuses such datasets instead (the gzip interchange remains
     their only format).
     """
 
-    def __init__(self, capacity: int = 1024) -> None:
-        super().__init__(np.int64, capacity)
+    def __init__(self) -> None:
+        self.arrays: dict[str, np.ndarray] = {}
+        #: Float column name -> indices of its int-typed entries.
+        self.int_typed: dict[str, list[int]] = {}
 
-    def append(self, value) -> None:
-        if type(value) is not int:
+    def ints(self, name: str, items: list) -> None:
+        """int64 column; rejects anything that is not a plain Python int."""
+        if not set(map(type, items)) <= {int}:
+            bad = next(v for v in items if type(v) is not int)
             raise ValueError(
-                f"expected a plain int, got {type(value).__name__}: {value!r}"
+                f"expected a plain int, got {type(bad).__name__}: {bad!r}"
             )
-        super().append(value)
+        self.arrays[name] = np.array(items, dtype=np.int64)
 
+    def floats(self, name: str, items: list) -> None:
+        """float64 column that remembers which entries were typed as ints.
 
-class _FloatColumn(ColumnBuffer):
-    """float64 column that remembers which entries were typed as ints.
-
-    JSON distinguishes ``5`` from ``5.0``; the indices of int-typed
-    entries land in the manifest so decoding restores the exact type.
-    """
-
-    __slots__ = ("int_indices",)
-
-    def __init__(self, capacity: int = 1024) -> None:
-        super().__init__(np.float64, capacity)
-        self.int_indices: list[int] = []
-
-    def append(self, value) -> None:
-        kind = type(value)
-        if kind is int:
-            self.int_indices.append(self._size)
-        elif kind is not float:
+        JSON distinguishes ``5`` from ``5.0``; the indices of int-typed
+        entries land in the manifest so decoding restores the exact type.
+        """
+        kinds = set(map(type, items))
+        if not kinds <= {int, float}:
+            bad = next(v for v in items if type(v) not in (int, float))
             raise ValueError(
-                f"expected int or float, got {type(value).__name__}: {value!r}"
+                f"expected int or float, got {type(bad).__name__}: {bad!r}"
             )
-        super().append(value)
+        if int in kinds:
+            self.int_typed[name] = [
+                i for i, v in enumerate(items) if type(v) is int
+            ]
+        self.arrays[name] = np.array(items, dtype=np.float64)
 
-
-class _StringColumn(ColumnBuffer):
-    """Fixed-width unicode column that re-widens as longer values arrive."""
-
-    def __init__(self, width: int = 8, capacity: int = 1024) -> None:
-        super().__init__(f"<U{max(width, 1)}", capacity)
-
-    def append(self, value) -> None:
-        if not isinstance(value, str):
+    def strings(self, name: str, items: list) -> None:
+        """Fixed-width unicode column, as wide as its longest value."""
+        if not all(issubclass(kind, str) for kind in set(map(type, items))):
+            bad = next(v for v in items if not isinstance(v, str))
             raise ValueError(
-                f"expected str, got {type(value).__name__}: {value!r}"
+                f"expected str, got {type(bad).__name__}: {bad!r}"
             )
-        width = self._data.dtype.itemsize // 4
-        if len(value) > width:
-            wide = np.empty(
-                len(self._data), dtype=f"<U{max(len(value), 2 * width)}"
-            )
-            wide[: self._size] = self._data[: self._size]
-            self._data = wide
-        super().append(value)
+        self.arrays[name] = np.array(items, dtype=str)
+
+    def bools(self, name: str, items: list) -> None:
+        self.arrays[name] = np.array(items, dtype=np.bool_)
+
+    def offsets(self, name: str, lengths: list) -> None:
+        """Start offsets ``[0, l0, l0 + l1, ...]`` of a ragged column."""
+        starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+        starts[1:] = np.cumsum(lengths)
+        self.arrays[name] = starts
 
 
-class _BoolColumn(ColumnBuffer):
-    def __init__(self, capacity: int = 1024) -> None:
-        super().__init__(np.bool_, capacity)
-
-
-# ----------------------------------------------------------------------
-# Streaming writer
-# ----------------------------------------------------------------------
-class DatasetColumnWriter:
-    """Streams one dataset, part by part, into pre-grown column buffers.
-
-    Call ``add_block`` / ``add_snapshot`` / ``add_record`` as the pieces
-    become available (blocks must arrive in chain order, records in
-    their dict insertion order), then the ``set_*`` setters, then
-    :meth:`save`.  Nothing is ever materialised twice: per-item rows go
-    straight into typed buffers.
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = str(name)
-        # per block
-        self._block_height = _IntColumn(256)
-        self._block_timestamp = _FloatColumn(256)
-        self._block_hash = _StringColumn(64, 256)
-        self._cb_address = _StringColumn(16, 256)
-        self._cb_value = _IntColumn(256)
-        self._cb_marker = _StringColumn(8, 256)
-        self._cb_vsize = _IntColumn(256)
-        self._block_tx_start = ColumnBuffer(np.int64, 256)
-        # per chain transaction
-        self._ctx_txid = _StringColumn(64, 4096)
-        self._ctx_fee = _IntColumn(4096)
-        self._ctx_vsize = _IntColumn(4096)
-        self._ctx_nonce = _IntColumn(4096)
-        self._ctx_cpfp_child = _BoolColumn(4096)
-        self._ctx_cpfp_parent = _BoolColumn(4096)
-        self._ctx_in_start = ColumnBuffer(np.int64, 4096)
-        self._ctx_out_start = ColumnBuffer(np.int64, 4096)
-        self._in_txid = _StringColumn(64, 4096)
-        self._in_index = _IntColumn(4096)
-        self._out_address = _StringColumn(16, 4096)
-        self._out_value = _IntColumn(4096)
-        # snapshots
-        self._snap_time = _FloatColumn(256)
-        self._snap_start = ColumnBuffer(np.int64, 256)
-        self._stx_txid = _StringColumn(64, 4096)
-        self._stx_arrival = _FloatColumn(4096)
-        self._stx_fee = _IntColumn(4096)
-        self._stx_vsize = _IntColumn(4096)
-        # tx records
-        self._rec_txid = _StringColumn(64, 4096)
-        self._rec_broadcast = _FloatColumn(4096)
-        self._rec_arrival = _FloatColumn(4096)
-        self._rec_has_arrival = _BoolColumn(4096)
-        self._rec_fee = _IntColumn(4096)
-        self._rec_vsize = _IntColumn(4096)
-        self._rec_commit_height = _IntColumn(4096)
-        self._rec_commit_position = _IntColumn(4096)
-        self._rec_label_start = ColumnBuffer(np.int64, 4096)
-        self._rec_label_id = ColumnBuffer(np.int64, 1024)
-        self._label_ids: dict[str, int] = {}
-        # attribution / series / metadata
-        self._pool_vocab: dict[str, int] = {}
-        self._bp_height = _IntColumn(256)
-        self._bp_pool = ColumnBuffer(np.int64, 256)
-        self._pool_wallets: dict[str, list[str]] = {}
-        self._ss_time = _FloatColumn(256)
-        self._ss_vsize = _IntColumn(256)
-        self._ss_count = _IntColumn(256)
-        self._has_size_series = False
-        self._has_tx_counts = False
-        self._metadata: dict = {}
-        self._block_tx_start.append(0)
-        self._ctx_in_start.append(0)
-        self._ctx_out_start.append(0)
-        self._snap_start.append(0)
-        self._rec_label_start.append(0)
-
-    # -- streamed parts -------------------------------------------------
-    def add_block(self, block: Block) -> None:
+def _encode_chain(columns: _Columns, chain: Blockchain) -> None:
+    height, timestamp, block_hash = [], [], []
+    cb_address, cb_value, cb_marker, cb_vsize = [], [], [], []
+    block_txs, txid, fee, vsize, nonce = [], [], [], [], []
+    cpfp_child, cpfp_parent, tx_inputs, tx_outputs = [], [], [], []
+    in_txid, in_index, out_address, out_value = [], [], [], []
+    for block in chain:
         coinbase = block.coinbase
-        self._block_height.append(block.height)
-        self._block_timestamp.append(block.timestamp)
-        self._block_hash.append(block.block_hash)
-        self._cb_address.append(coinbase.outputs[0].address)
-        self._cb_value.append(coinbase.outputs[0].value)
-        self._cb_marker.append(coinbase.marker)
-        self._cb_vsize.append(coinbase.vsize)
+        height.append(block.height)
+        timestamp.append(block.timestamp)
+        block_hash.append(block.block_hash)
+        cb_address.append(coinbase.outputs[0].address)
+        cb_value.append(coinbase.outputs[0].value)
+        cb_marker.append(coinbase.marker)
+        cb_vsize.append(coinbase.vsize)
+        txs = block.transactions
+        txids = [tx.txid for tx in txs]
         children = find_cpfp_txids(block)
         parents = find_cpfp_parent_txids(block)
-        for tx in block.transactions:
-            self._ctx_txid.append(tx.txid)
-            self._ctx_fee.append(tx.fee)
-            self._ctx_vsize.append(tx.vsize)
-            self._ctx_nonce.append(tx.nonce)
-            self._ctx_cpfp_child.append(tx.txid in children)
-            self._ctx_cpfp_parent.append(tx.txid in parents)
-            for txin in tx.inputs:
-                self._in_txid.append(txin.prevout.txid)
-                self._in_index.append(txin.prevout.index)
-            self._ctx_in_start.append(len(self._in_txid))
-            for txout in tx.outputs:
-                self._out_address.append(txout.address)
-                self._out_value.append(txout.value)
-            self._ctx_out_start.append(len(self._out_address))
-        self._block_tx_start.append(len(self._ctx_txid))
+        block_txs.append(len(txs))
+        txid += txids
+        fee += [tx.fee for tx in txs]
+        vsize += [tx.vsize for tx in txs]
+        nonce += [tx.nonce for tx in txs]
+        cpfp_child += [t in children for t in txids]
+        cpfp_parent += [t in parents for t in txids]
+        tx_inputs += [len(tx.inputs) for tx in txs]
+        tx_outputs += [len(tx.outputs) for tx in txs]
+        prevouts = [txin.prevout for tx in txs for txin in tx.inputs]
+        in_txid += [prevout.txid for prevout in prevouts]
+        in_index += [prevout.index for prevout in prevouts]
+        outputs = [txout for tx in txs for txout in tx.outputs]
+        out_address += [txout.address for txout in outputs]
+        out_value += [txout.value for txout in outputs]
+    columns.ints("block_height", height)
+    columns.floats("block_timestamp", timestamp)
+    columns.strings("block_hash", block_hash)
+    columns.strings("block_cb_address", cb_address)
+    columns.ints("block_cb_value", cb_value)
+    columns.strings("block_cb_marker", cb_marker)
+    columns.ints("block_cb_vsize", cb_vsize)
+    columns.offsets("block_tx_start", block_txs)
+    columns.strings("ctx_txid", txid)
+    columns.ints("ctx_fee", fee)
+    columns.ints("ctx_vsize", vsize)
+    columns.ints("ctx_nonce", nonce)
+    columns.bools("ctx_cpfp_child", cpfp_child)
+    columns.bools("ctx_cpfp_parent", cpfp_parent)
+    columns.offsets("ctx_in_start", tx_inputs)
+    columns.offsets("ctx_out_start", tx_outputs)
+    columns.strings("in_txid", in_txid)
+    columns.ints("in_index", in_index)
+    columns.strings("out_address", out_address)
+    columns.ints("out_value", out_value)
 
-    def add_snapshot(self, snapshot: MempoolSnapshot) -> None:
-        self._snap_time.append(snapshot.time)
-        for tx in snapshot.txs:
-            self._stx_txid.append(tx.txid)
-            self._stx_arrival.append(tx.arrival_time)
-            self._stx_fee.append(tx.fee)
-            self._stx_vsize.append(tx.vsize)
-        self._snap_start.append(len(self._stx_txid))
 
-    def add_record(self, record: TxRecord) -> None:
-        self._rec_txid.append(record.txid)
-        self._rec_broadcast.append(record.broadcast_time)
-        if record.observer_arrival is None:
-            self._rec_has_arrival.append(False)
-            # Placeholder keeps the column aligned without touching the
-            # int-typed bookkeeping.
-            ColumnBuffer.append(self._rec_arrival, 0.0)
-        else:
-            self._rec_has_arrival.append(True)
-            self._rec_arrival.append(record.observer_arrival)
-        self._rec_fee.append(record.fee)
-        self._rec_vsize.append(record.vsize)
-        self._rec_commit_height.append(
-            _NULL_INT if record.commit_height is None else record.commit_height
-        )
-        self._rec_commit_position.append(
-            _NULL_INT
-            if record.commit_position is None
-            else record.commit_position
-        )
-        for label in sorted(record.labels):
-            if not isinstance(label, str):
-                raise ValueError(f"labels must be strings, got {label!r}")
-            self._rec_label_id.append(
-                self._label_ids.setdefault(label, len(self._label_ids))
-            )
-        self._rec_label_start.append(len(self._rec_label_id))
+def _encode_snapshots(columns: _Columns, snapshots: SnapshotStore) -> None:
+    time, sizes, txid, arrival, fee, vsize = [], [], [], [], [], []
+    for snapshot in snapshots:
+        txs = snapshot.txs
+        time.append(snapshot.time)
+        sizes.append(len(txs))
+        txid += [tx.txid for tx in txs]
+        arrival += [tx.arrival_time for tx in txs]
+        fee += [tx.fee for tx in txs]
+        vsize += [tx.vsize for tx in txs]
+    columns.floats("snap_time", time)
+    columns.offsets("snap_start", sizes)
+    columns.strings("stx_txid", txid)
+    columns.floats("stx_arrival", arrival)
+    columns.ints("stx_fee", fee)
+    columns.ints("stx_vsize", vsize)
 
-    # -- whole-dataset attributes ---------------------------------------
-    def set_block_pools(self, block_pools: dict) -> None:
-        for height, pool in block_pools.items():
-            if type(height) is not int or not isinstance(pool, str):
-                raise ValueError(
-                    f"block_pools must map int -> str, got {height!r}: {pool!r}"
-                )
-            self._bp_height.append(height)
-            self._bp_pool.append(
-                self._pool_vocab.setdefault(pool, len(self._pool_vocab))
-            )
 
-    def set_pool_wallets(self, pool_wallets: dict) -> None:
-        self._pool_wallets = {
-            str(pool): sorted(str(w) for w in wallets)
-            for pool, wallets in pool_wallets.items()
-        }
+def _encode_records(columns: _Columns, records: list[TxRecord]) -> list[str]:
+    """Record columns; returns the sorted label vocabulary.
 
-    def set_size_series(self, series: Optional[SizeSeries]) -> None:
-        if series is None:
-            return
-        self._has_size_series = True
-        counts = series.tx_counts()
-        self._has_tx_counts = counts is not None
-        for time in series.times:
-            self._ss_time.append(time)
-        for vsize in series.sizes():
-            self._ss_vsize.append(vsize)
-        for count in counts or ():
-            self._ss_count.append(count)
-
-    def set_metadata(self, metadata: dict) -> None:
-        self._metadata = metadata
-
-    # -- finish ---------------------------------------------------------
-    def _finish_labels(self) -> tuple[list[str], np.ndarray]:
-        """Sorted label vocabulary + per-record ids remapped onto it.
-
-        Ids were assigned by first appearance while streaming; the
-        stored vocabulary is sorted, so ids are remapped and re-sorted
-        *within* each record's segment (segments are contiguous, so a
-        segment-major lexsort leaves the offsets valid).
-        """
-        vocab = sorted(self._label_ids)
-        ids = self._rec_label_id.finish()
-        if not len(ids):
-            return vocab, ids
-        remap = np.empty(len(vocab), dtype=np.int64)
-        for new_id, label in enumerate(vocab):
-            remap[self._label_ids[label]] = new_id
-        ids = remap[ids]
-        starts = self._rec_label_start.finish()
-        segment = np.searchsorted(starts, np.arange(len(ids)), side="right")
-        order = np.lexsort((ids, segment))
-        return vocab, ids[order]
-
-    def arrays(self) -> tuple[dict[str, np.ndarray], dict]:
-        """(column arrays, manifest) ready for :func:`_write_npz`."""
-        label_vocab, label_ids = self._finish_labels()
-        int_typed = {
-            name: column.int_indices
-            for name, column in (
-                ("block_timestamp", self._block_timestamp),
-                ("snap_time", self._snap_time),
-                ("stx_arrival", self._stx_arrival),
-                ("rec_broadcast", self._rec_broadcast),
-                ("rec_arrival", self._rec_arrival),
-                ("ss_time", self._ss_time),
-            )
-            if column.int_indices
-        }
-        manifest = {
-            "columnar_version": COLUMNAR_FORMAT_VERSION,
-            "schema_version": FORMAT_VERSION,
-            "name": self.name,
-            "counts": {
-                "blocks": len(self._block_height),
-                "chain_txs": len(self._ctx_txid),
-                "inputs": len(self._in_txid),
-                "outputs": len(self._out_address),
-                "snapshots": len(self._snap_time),
-                "snapshot_txs": len(self._stx_txid),
-                "records": len(self._rec_txid),
-                "labels": len(label_ids),
-                "block_pools": len(self._bp_height),
-                "size_points": len(self._ss_time),
-            },
-            "pool_vocab": list(self._pool_vocab),
-            "pool_wallets": self._pool_wallets,
-            "label_vocab": label_vocab,
-            "has_size_series": self._has_size_series,
-            "has_tx_counts": self._has_tx_counts,
-            "int_typed": int_typed,
-            "metadata": self._metadata,
-        }
-        columns = {
-            "block_height": self._block_height.finish(),
-            "block_timestamp": self._block_timestamp.finish(),
-            "block_hash": self._block_hash.finish(),
-            "block_cb_address": self._cb_address.finish(),
-            "block_cb_value": self._cb_value.finish(),
-            "block_cb_marker": self._cb_marker.finish(),
-            "block_cb_vsize": self._cb_vsize.finish(),
-            "block_tx_start": self._block_tx_start.finish(),
-            "ctx_txid": self._ctx_txid.finish(),
-            "ctx_fee": self._ctx_fee.finish(),
-            "ctx_vsize": self._ctx_vsize.finish(),
-            "ctx_nonce": self._ctx_nonce.finish(),
-            "ctx_cpfp_child": self._ctx_cpfp_child.finish(),
-            "ctx_cpfp_parent": self._ctx_cpfp_parent.finish(),
-            "ctx_in_start": self._ctx_in_start.finish(),
-            "ctx_out_start": self._ctx_out_start.finish(),
-            "in_txid": self._in_txid.finish(),
-            "in_index": self._in_index.finish(),
-            "out_address": self._out_address.finish(),
-            "out_value": self._out_value.finish(),
-            "snap_time": self._snap_time.finish(),
-            "snap_start": self._snap_start.finish(),
-            "stx_txid": self._stx_txid.finish(),
-            "stx_arrival": self._stx_arrival.finish(),
-            "stx_fee": self._stx_fee.finish(),
-            "stx_vsize": self._stx_vsize.finish(),
-            "rec_txid": self._rec_txid.finish(),
-            "rec_broadcast": self._rec_broadcast.finish(),
-            "rec_arrival": self._rec_arrival.finish(),
-            "rec_has_arrival": self._rec_has_arrival.finish(),
-            "rec_fee": self._rec_fee.finish(),
-            "rec_vsize": self._rec_vsize.finish(),
-            "rec_commit_height": self._rec_commit_height.finish(),
-            "rec_commit_position": self._rec_commit_position.finish(),
-            "rec_label_start": self._rec_label_start.finish(),
-            "rec_label_id": label_ids,
-            "block_pool_height": self._bp_height.finish(),
-            "block_pool_id": self._bp_pool.finish(),
-            "ss_time": self._ss_time.finish(),
-            "ss_vsize": self._ss_vsize.finish(),
-            "ss_count": self._ss_count.finish(),
-        }
-        return columns, manifest
-
-    def save(self, path: Union[str, Path]) -> Path:
-        columns, manifest = self.arrays()
-        return _write_npz(path, columns, manifest)
+    Each record's labels are stored sorted, as ids into the sorted
+    vocabulary, so ids ascend within every record's segment.
+    """
+    columns.strings("rec_txid", [r.txid for r in records])
+    columns.floats("rec_broadcast", [r.broadcast_time for r in records])
+    # An absent arrival stores a float 0.0 placeholder: it keeps the
+    # column aligned and never lands in the int-typed bookkeeping.
+    columns.floats(
+        "rec_arrival",
+        [
+            0.0 if r.observer_arrival is None else r.observer_arrival
+            for r in records
+        ],
+    )
+    columns.bools(
+        "rec_has_arrival", [r.observer_arrival is not None for r in records]
+    )
+    columns.ints("rec_fee", [r.fee for r in records])
+    columns.ints("rec_vsize", [r.vsize for r in records])
+    columns.ints(
+        "rec_commit_height",
+        [
+            _NULL_INT if r.commit_height is None else r.commit_height
+            for r in records
+        ],
+    )
+    columns.ints(
+        "rec_commit_position",
+        [
+            _NULL_INT if r.commit_position is None else r.commit_position
+            for r in records
+        ],
+    )
+    labels = [sorted(r.labels) for r in records]
+    flat = [label for row in labels for label in row]
+    for label in flat:
+        if not isinstance(label, str):
+            raise ValueError(f"labels must be strings, got {label!r}")
+    vocab = sorted(set(flat))
+    ids = {label: i for i, label in enumerate(vocab)}
+    columns.offsets("rec_label_start", [len(row) for row in labels])
+    columns.arrays["rec_label_id"] = np.array(
+        [ids[label] for label in flat], dtype=np.int64
+    )
+    return vocab
 
 
 def save_columnar(dataset: Dataset, path: Union[str, Path]) -> Path:
@@ -540,18 +345,55 @@ def save_columnar(dataset: Dataset, path: Union[str, Path]) -> Path:
     timestamps, stored (uncompressed) members — the same dataset always
     produces the same bytes, and every column stays memory-mappable.
     """
-    writer = DatasetColumnWriter(dataset.name)
-    for block in dataset.chain:
-        writer.add_block(block)
-    for snapshot in dataset.snapshots:
-        writer.add_snapshot(snapshot)
-    for record in dataset.tx_records.values():
-        writer.add_record(record)
-    writer.set_block_pools(dataset.block_pools)
-    writer.set_pool_wallets(dataset.pool_wallets)
-    writer.set_size_series(dataset.size_series)
-    writer.set_metadata(dataset.metadata)
-    return writer.save(path)
+    columns = _Columns()
+    _encode_chain(columns, dataset.chain)
+    _encode_snapshots(columns, dataset.snapshots)
+    label_vocab = _encode_records(columns, list(dataset.tx_records.values()))
+    pool_vocab: dict[str, int] = {}
+    pool_heights, pool_ids = [], []
+    for height, pool in dataset.block_pools.items():
+        if type(height) is not int or not isinstance(pool, str):
+            raise ValueError(
+                f"block_pools must map int -> str, got {height!r}: {pool!r}"
+            )
+        pool_heights.append(height)
+        pool_ids.append(pool_vocab.setdefault(pool, len(pool_vocab)))
+    columns.ints("block_pool_height", pool_heights)
+    columns.ints("block_pool_id", pool_ids)
+    series = dataset.size_series
+    counts = None if series is None else series.tx_counts()
+    columns.floats("ss_time", [] if series is None else series.times)
+    columns.ints("ss_vsize", [] if series is None else series.sizes())
+    columns.ints("ss_count", counts or [])
+    arrays = columns.arrays
+    manifest = {
+        "columnar_version": COLUMNAR_FORMAT_VERSION,
+        "schema_version": FORMAT_VERSION,
+        "name": str(dataset.name),
+        "counts": {
+            "blocks": len(arrays["block_height"]),
+            "chain_txs": len(arrays["ctx_txid"]),
+            "inputs": len(arrays["in_txid"]),
+            "outputs": len(arrays["out_address"]),
+            "snapshots": len(arrays["snap_time"]),
+            "snapshot_txs": len(arrays["stx_txid"]),
+            "records": len(arrays["rec_txid"]),
+            "labels": len(arrays["rec_label_id"]),
+            "block_pools": len(arrays["block_pool_height"]),
+            "size_points": len(arrays["ss_time"]),
+        },
+        "pool_vocab": list(pool_vocab),
+        "pool_wallets": {
+            str(pool): sorted(str(w) for w in wallets)
+            for pool, wallets in dataset.pool_wallets.items()
+        },
+        "label_vocab": label_vocab,
+        "has_size_series": series is not None,
+        "has_tx_counts": counts is not None,
+        "int_typed": columns.int_typed,
+        "metadata": dataset.metadata,
+    }
+    return _write_npz(path, arrays, manifest)
 
 
 def _write_npz(

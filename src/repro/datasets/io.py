@@ -15,6 +15,11 @@ Robustness guarantees (tests/test_io.py):
 * writes are **deterministic** — the gzip header is written with
   ``mtime=0``, so the same dataset always produces the same bytes
   (the zero-rate fault-schedule identity test depends on this);
+* writes are **cheap** — the stream is deflated at zlib level 1, not
+  the default 9.  For dataset C at scale 0.1 that cut compression from
+  1.8 s to 0.4 s for a file 3.5% larger (15.0 → 15.5 MB), and reading
+  it back is no slower.  The level changes only the compressed bytes:
+  the decompressed JSON is the same document at any level;
 * a truncated or malformed file raises :class:`DatasetCorruptionError`
   carrying the path and, where available, the byte offset — never a
   bare decoder traceback.
@@ -22,12 +27,14 @@ Robustness guarantees (tests/test_io.py):
 
 from __future__ import annotations
 
+import gc
 import gzip
 import json
 import os
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from ..chain.block import Block, build_block
 from ..chain.blockchain import Blockchain
@@ -48,6 +55,9 @@ from .dataset import Dataset
 from .records import TxRecord
 
 FORMAT_VERSION = 1
+
+#: zlib level of the interchange file (see the module docstring).
+_GZIP_LEVEL = 1
 
 
 class DatasetCorruptionError(ValueError):
@@ -245,6 +255,24 @@ def dataset_from_dict(payload: dict) -> Dataset:
     )
 
 
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Hold off the cyclic garbage collector for the enclosed block.
+
+    The interchange document is a fresh, acyclic tree of millions of
+    small lists.  Allocating it triggers repeated full collections that
+    walk the whole dataset graph: for dataset C at scale 0.1 they made
+    ``dataset_to_dict`` take 1.1-1.6 s instead of 0.15 s.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def save_dataset(dataset: Dataset, path: Union[str, Path]) -> Path:
     """Atomically write a dataset to ``path`` as gzip-compressed JSON.
 
@@ -254,12 +282,17 @@ def save_dataset(dataset: Dataset, path: Union[str, Path]) -> Path:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(dataset_to_dict(dataset), separators=(",", ":"))
+    with _gc_paused():
+        text = json.dumps(dataset_to_dict(dataset), separators=(",", ":"))
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as raw:
             with gzip.GzipFile(
-                filename="", fileobj=raw, mode="wb", mtime=0
+                filename="",
+                fileobj=raw,
+                mode="wb",
+                compresslevel=_GZIP_LEVEL,
+                mtime=0,
             ) as handle:
                 handle.write(text.encode("utf-8"))
         os.replace(tmp, path)

@@ -14,6 +14,7 @@ the interchange form.  The load-bearing contract tested here:
   and counts mmap vs fallback packs in ``repro.obs``.
 """
 
+import dataclasses
 import gzip
 import json
 import pickle
@@ -22,8 +23,10 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.chain.blockchain import Blockchain
 from repro.core.norms import CpfpFilter
 from repro.core.vectorized import ChainArrays
+from repro.datasets.cache import CacheKey, DatasetCache
 from repro.datasets.columnar import (
     COLUMNAR_FORMAT_VERSION,
     ColumnStore,
@@ -39,7 +42,7 @@ from repro.datasets.io import (
     save_dataset,
 )
 
-from conftest import TxFactory
+from conftest import TxFactory, make_test_block
 from test_records_dataset import build_small_dataset
 
 
@@ -324,3 +327,77 @@ class TestChainArraysZeroCopy:
             assert arrays.txids == rebuilt.txids
         finally:
             small_dataset_c.columnar = None
+
+
+def _with_record(dataset, **changes):
+    """``dataset`` with its first tx record's fields replaced."""
+    records = dict(dataset.tx_records)
+    txid = next(iter(records))
+    records[txid] = dataclasses.replace(records[txid], **changes)
+    return dataclasses.replace(dataset, tx_records=records)
+
+
+def _with_bool_timestamp(dataset):
+    """``dataset`` re-chained with ``True`` as its first block timestamp."""
+    chain = Blockchain()
+    for block in dataset.chain:
+        timestamp = True if block.height == 0 else block.timestamp
+        chain.append(
+            make_test_block(
+                block.transactions,
+                height=block.height,
+                prev_hash=chain.tip_hash,
+                timestamp=timestamp,
+            )
+        )
+    return dataclasses.replace(dataset, chain=chain)
+
+
+#: Datasets the columnar writer must refuse: each value would come back
+#: with a different JSON type (``1.0`` as ``1``, ``true`` as ``1``, ...).
+REFUSED = {
+    "float_fee": lambda ds: _with_record(ds, fee=1.0),
+    "bool_fee": lambda ds: _with_record(ds, fee=True),
+    "bool_block_timestamp": _with_bool_timestamp,
+    "int_label": lambda ds: _with_record(ds, labels=frozenset({7})),
+}
+
+
+class TestWriterRefusals:
+    """Values a column cannot round-trip byte-identically are refused."""
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_save_columnar_refuses(self, tmp_path, small, case):
+        path = tmp_path / "refused.npz"
+        with pytest.raises(ValueError):
+            save_columnar(REFUSED[case](small), path)
+        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_cache_stores_a_refused_dataset_gzip_only(
+        self, tmp_path, small, case
+    ):
+        dataset = REFUSED[case](small)
+        cache = DatasetCache(tmp_path)
+        key = CacheKey(builder="refused", scale=1.0, seed=0)
+        with obs.tracing(reset=True):
+            path = cache.store(key, dataset)
+            counters = obs.snapshot()["counters"]
+        assert counters.get("cache.sidecar_skipped") == 1
+        assert path.exists()
+        assert not columnar_sidecar(path).exists()
+        assert dataset.columnar is None
+        loaded = DatasetCache(tmp_path).load(key)
+        assert loaded is not None
+        assert loaded.columnar is None
+        assert interchange_bytes(loaded) == interchange_bytes(dataset)
+
+    def test_accepted_dataset_is_not_skipped(self, tmp_path, small):
+        with obs.tracing(reset=True):
+            path = DatasetCache(tmp_path).store(
+                CacheKey(builder="small", scale=1.0, seed=0), small
+            )
+            counters = obs.snapshot()["counters"]
+        assert "cache.sidecar_skipped" not in counters
+        assert columnar_sidecar(path).exists()

@@ -1,5 +1,8 @@
 """Unit tests for dataset persistence (gzip-JSON round trips)."""
 
+import gzip
+import json
+
 import pytest
 
 from repro.datasets.io import (
@@ -95,6 +98,18 @@ class TestRobustPersistence:
         first = save_dataset(dataset, tmp_path / "one.json.gz").read_bytes()
         second = save_dataset(dataset, tmp_path / "two.json.gz").read_bytes()
         assert first == second
+
+    def test_payload_is_the_compact_json_document(
+        self, txf, tmp_path, small_dataset_a
+    ):
+        """Pins the decompressed interchange bytes, not the compression."""
+        small, *_ = build_small_dataset(txf)
+        for dataset in (small, small_dataset_a):
+            path = save_dataset(dataset, tmp_path / "ds.json.gz")
+            expected = json.dumps(
+                dataset_to_dict(dataset), separators=(",", ":")
+            ).encode()
+            assert gzip.decompress(path.read_bytes()) == expected
 
     def test_missing_file_still_raises_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
