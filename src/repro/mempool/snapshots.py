@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ..chain.constants import MAX_BLOCK_VSIZE
-from .mempool import Mempool
+from .mempool import Mempool, MempoolEntry
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,9 @@ class SnapshotRecorder:
         self.interval = interval
         self._snapshots: list[MempoolSnapshot] = []
         self._last_time: Optional[float] = None
+        # id(entry) -> (entry, row) for the entries of the last capture.
+        # Holding the entry keeps its id from being reused.
+        self._rows: dict[int, tuple[MempoolEntry, SnapshotTx]] = {}
 
     def due(self, now: float) -> bool:
         """True if a snapshot should be taken at time ``now``."""
@@ -130,17 +133,27 @@ class SnapshotRecorder:
         return now - self._last_time >= self.interval
 
     def capture(self, mempool: Mempool, now: float) -> MempoolSnapshot:
-        """Record and return the current mempool state."""
-        txs = tuple(
-            SnapshotTx(
-                txid=entry.txid,
-                arrival_time=entry.arrival_time,
-                fee=entry.tx.fee,
-                vsize=entry.vsize,
-            )
-            for entry in mempool.entries()
+        """Record and return the current mempool state.
+
+        ``MempoolEntry`` is frozen, so an entry still pending since the
+        last capture reuses that capture's ``SnapshotTx``: an evented
+        run's snapshots hold millions of rows but only one per entry.
+        """
+        previous = self._rows
+        rows: dict[int, tuple[MempoolEntry, SnapshotTx]] = {}
+        for entry in mempool.entries():
+            key = id(entry)
+            row = previous.get(key)
+            if row is None:
+                tx = entry.tx
+                row = entry, SnapshotTx(
+                    tx.txid, entry.arrival_time, tx.fee, tx.vsize
+                )
+            rows[key] = row
+        self._rows = rows
+        snapshot = MempoolSnapshot(
+            time=now, txs=tuple(row[1] for row in rows.values())
         )
-        snapshot = MempoolSnapshot(time=now, txs=txs)
         self._snapshots.append(snapshot)
         self._last_time = now
         return snapshot

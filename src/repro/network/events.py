@@ -10,19 +10,18 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 #: An event handler receives the scheduler so it can schedule follow-ups.
 Handler = Callable[["EventScheduler"], None]
 
 
-@dataclass(order=True)
+@dataclass
 class _ScheduledEvent:
     time: float
-    sequence: int
-    handler: Handler = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    handler: Handler
+    cancelled: bool = False
 
 
 class EventHandle:
@@ -49,7 +48,9 @@ class EventScheduler:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._queue: list[_ScheduledEvent] = []
+        # (time, sequence, event): tuples compare in C, and the unique
+        # sequence keeps equal-time events in insertion order.
+        self._queue: list[tuple[float, int, _ScheduledEvent]] = []
         self._sequence = itertools.count()
         self._processed = 0
 
@@ -61,7 +62,7 @@ class EventScheduler:
     @property
     def pending(self) -> int:
         """Number of queued (possibly cancelled) events."""
-        return sum(1 for event in self._queue if not event.cancelled)
+        return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     @property
     def processed(self) -> int:
@@ -74,8 +75,8 @@ class EventScheduler:
             raise ValueError(
                 f"cannot schedule event at {time} before current time {self._now}"
             )
-        event = _ScheduledEvent(time=time, sequence=next(self._sequence), handler=handler)
-        heapq.heappush(self._queue, event)
+        event = _ScheduledEvent(time=time, handler=handler)
+        heapq.heappush(self._queue, (time, next(self._sequence), event))
         return EventHandle(event)
 
     def schedule_in(self, delay: float, handler: Handler) -> EventHandle:
@@ -87,7 +88,7 @@ class EventScheduler:
     def step(self) -> bool:
         """Execute the next non-cancelled event.  False when drained."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            _, _, event = heapq.heappop(self._queue)
             if event.cancelled:
                 continue
             self._now = event.time
@@ -104,7 +105,7 @@ class EventScheduler:
         """
         executed = 0
         while self._queue:
-            head = self._queue[0]
+            head = self._queue[0][2]
             if head.cancelled:
                 heapq.heappop(self._queue)
                 continue

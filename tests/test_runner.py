@@ -14,12 +14,27 @@ from repro.datasets.builder import clear_memory_cache
 
 #: Cheap ids: fast at tiny scale and spanning datasets A + none.
 CHEAP_IDS = ["fig1", "table5", "fig14"]
+#: Timeout-guard battery: ``table5`` is made to hang; the other two only
+#: read dataset A, so once it is built they run in milliseconds.
+GUARDED_IDS = ["fig5", "table5", "fig14"]
 SCALE = 0.04
 
 
 def _fresh():
     clear_memory_cache()
     runner_mod._WORKER_CONTEXTS.clear()
+
+
+def _fresh_with_dataset_a():
+    """Reset, then build dataset A in this process.
+
+    Guarded cells run in children forked from here (directly, or through
+    fork-started pool workers), so they inherit the built dataset: the
+    1.5 s guard then times only the hung cell, not a dataset build or a
+    simulation racing the deadline on a loaded host.
+    """
+    _fresh()
+    run_one("fig5", SCALE)
 
 
 class TestRunOne:
@@ -197,26 +212,26 @@ class TestTimeoutGuard:
         assert "worker process died" in outcome.error
 
     def test_timed_out_cell_is_isolated_in_battery(self, monkeypatch):
+        _fresh_with_dataset_a()
         monkeypatch.setitem(ALL_RUNNERS, "table5", _hang_runner)
-        _fresh()
-        battery = run_battery(CHEAP_IDS, scale=SCALE, jobs=1, timeout=1.5)
+        battery = run_battery(GUARDED_IDS, scale=SCALE, jobs=1, timeout=1.5)
         by_id = {o.experiment_id: o for o in battery.outcomes}
         assert not by_id["table5"].ok
         assert "timed out" in by_id["table5"].error
-        # Failure isolation (PR 2 discipline): the others still ran.
-        assert by_id["fig1"].ok and by_id["fig14"].ok
+        # Failure isolation: the others still ran.
+        assert by_id["fig5"].ok and by_id["fig14"].ok
         # Report order is preserved, with the dead cell marked FAILED.
-        assert [o.experiment_id for o in battery.outcomes] == CHEAP_IDS
+        assert [o.experiment_id for o in battery.outcomes] == GUARDED_IDS
         assert "table5: FAILED" in battery.report()
 
     def test_timeout_guard_under_parallel_jobs(self, monkeypatch):
+        _fresh_with_dataset_a()
         monkeypatch.setitem(ALL_RUNNERS, "table5", _hang_runner)
-        _fresh()
-        battery = run_battery(CHEAP_IDS, scale=SCALE, jobs=2, timeout=1.5)
+        battery = run_battery(GUARDED_IDS, scale=SCALE, jobs=2, timeout=1.5)
         by_id = {o.experiment_id: o for o in battery.outcomes}
         assert not by_id["table5"].ok
         assert "timed out" in by_id["table5"].error
-        assert by_id["fig1"].ok and by_id["fig14"].ok
+        assert by_id["fig5"].ok and by_id["fig14"].ok
 
     def test_generous_timeout_report_identical_to_unguarded(self):
         _fresh()

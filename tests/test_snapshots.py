@@ -64,6 +64,27 @@ class TestRecorder:
         assert snapshot.txs[0].txid == tx.txid
         assert snapshot.txs[0].arrival_time == 3.0
 
+    def test_pending_entry_keeps_its_row_across_captures(self, txf):
+        pool = Mempool()
+        kept, dropped = txf.tx(fee=500), txf.tx(fee=700)
+        pool.offer(kept, now=1.0)
+        pool.offer(dropped, now=2.0)
+        recorder = SnapshotRecorder()
+        first = recorder.capture(pool, now=15.0)
+        pool.remove(dropped.txid)
+        later = txf.tx(fee=900)
+        pool.offer(later, now=20.0)
+        pool.offer(dropped, now=25.0)  # a new entry, later arrival
+        second = recorder.capture(pool, now=30.0)
+        rows = {row.txid: row for row in second.txs}
+        assert [row.txid for row in second.txs] == [
+            entry.txid for entry in pool.entries()
+        ]
+        assert rows[kept.txid] is first.txs[0]
+        assert rows[dropped.txid].arrival_time == 25.0
+        assert rows[later.txid] == SnapshotTx(later.txid, 20.0, 900, 250)
+        assert first.txs[1] == SnapshotTx(dropped.txid, 2.0, 700, 250)
+
     def test_invalid_interval(self):
         with pytest.raises(ValueError):
             SnapshotRecorder(interval=0.0)
