@@ -29,7 +29,7 @@ def run(ctx: DataContext) -> ExperimentResult:
     inferred_counts: dict[str, int] = {}
     for pool in top_pools:
         wallets = dataset.pool_wallets.get(pool, frozenset())
-        inferred = dataset.inferred_self_interest_txids(pool)
+        inferred = dataset.inferred_self_interest_txids_indexed(pool)
         truth = dataset.self_interest_txids(pool)
         committed_truth = {
             txid

@@ -9,6 +9,7 @@ per (builder, scale, seed, schema-version) key.
 
 from __future__ import annotations
 
+import gc
 from pathlib import Path
 from typing import Optional, Union
 
@@ -21,6 +22,7 @@ from ..simulation.scenarios import (
 from .cache import CacheKey, DatasetCache, write_entry
 from .columnar import columnar_sidecar, load_columnar_if_exists
 from .dataset import Dataset
+from .gcpolicy import gc_paused
 from .io import DatasetCorruptionError, dataset_path, load_if_exists
 
 _MEMORY_CACHE: dict[tuple[str, int, float], Dataset] = {}
@@ -54,17 +56,27 @@ def build_dataset(
     key = _cache_key(scenario)
     if use_memory_cache and key in _MEMORY_CACHE:
         return _MEMORY_CACHE[key]
+    # A memoised dataset lives as long as the process: freeze it so no
+    # later collection walks it again (see :mod:`.gcpolicy`).
+    with gc_paused(freeze=use_memory_cache):
+        dataset = _load_or_build(scenario, cache_dir, cache)
+    if use_memory_cache:
+        _MEMORY_CACHE[key] = dataset
+    return dataset
+
+
+def _load_or_build(
+    scenario: Scenario,
+    cache_dir: Optional[Union[str, Path]],
+    cache: Optional[DatasetCache],
+) -> Dataset:
     if cache is not None:
-        dataset = cache.get_or_build(
+        return cache.get_or_build(
             disk_cache_key(scenario), lambda: scenario.run().dataset
         )
-        if use_memory_cache:
-            _MEMORY_CACHE[key] = dataset
-        return dataset
     path = None
     if cache_dir is not None:
         path = dataset_path(cache_dir, scenario.name, scenario.seed)
-        cached = None
         if path.exists():
             # Prefer the memory-mapped sidecar; a torn one falls back
             # to the gzip artifact (the completion marker).
@@ -74,21 +86,22 @@ def build_dataset(
                 cached = None
             if cached is None:
                 cached = load_if_exists(path)
-        if cached is not None:
-            if use_memory_cache:
-                _MEMORY_CACHE[key] = cached
-            return cached
+            if cached is not None:
+                return cached
     dataset = scenario.run().dataset
-    if use_memory_cache:
-        _MEMORY_CACHE[key] = dataset
     if path is not None:
         write_entry(dataset, path)
     return dataset
 
 
 def clear_memory_cache() -> None:
-    """Drop all memoised datasets (mainly for tests and benchmarks)."""
+    """Drop all memoised datasets (mainly for tests and benchmarks).
+
+    Also unfreezes what :func:`build_dataset` froze, so the collector
+    again reclaims whatever of it is now garbage.
+    """
     _MEMORY_CACHE.clear()
+    gc.unfreeze()
 
 
 def build_dataset_a(

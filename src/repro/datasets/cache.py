@@ -234,28 +234,29 @@ class DatasetCache:
         the sidecar for the next load.  Only when both files are
         unreadable does the entry count as gone.
         """
-        if not path.exists():
-            return None
-        sidecar = columnar_sidecar(path)
-        if sidecar.exists():
-            try:
-                return load_columnar(sidecar)
-            except DatasetCorruptionError:
-                self._evict(sidecar)
-        try:
-            dataset = load_dataset(path)
-        except DatasetCorruptionError:
-            self._evict(path)
+        with obs.span("cache.load"):
+            if not path.exists():
+                return None
+            sidecar = columnar_sidecar(path)
             if sidecar.exists():
-                # Without its completion marker the sidecar is dead
-                # weight; drop it so the entry rebuilds cleanly.
                 try:
-                    sidecar.unlink()
-                except OSError:
-                    pass
-            return None
-        _write_sidecar(dataset, sidecar)
-        return dataset
+                    return load_columnar(sidecar)
+                except DatasetCorruptionError:
+                    self._evict(sidecar)
+            try:
+                dataset = load_dataset(path)
+            except DatasetCorruptionError:
+                self._evict(path)
+                if sidecar.exists():
+                    # Without its completion marker the sidecar is dead
+                    # weight; drop it so the entry rebuilds cleanly.
+                    try:
+                        sidecar.unlink()
+                    except OSError:
+                        pass
+                return None
+            _write_sidecar(dataset, sidecar)
+            return dataset
 
     def load(self, key: CacheKey) -> Optional[Dataset]:
         """The cached dataset for ``key``, or None on a miss."""

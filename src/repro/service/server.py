@@ -43,6 +43,7 @@ from ..core.audit import Auditor, StreamingAuditor
 from ..core.ppe import summarize_ppe
 from ..core.ppe import predictions_for
 from ..datasets.dataset import Dataset
+from ..datasets.gcpolicy import gc_paused
 from ..datasets.io import load_dataset
 from .wal import BlockJournal, decode_entry_block, encode_entry
 
@@ -221,9 +222,14 @@ class AuditService:
         """Build from a saved dataset's *observer context*.
 
         The file's chain is deliberately ignored — blocks must arrive
-        through ingest, which is what makes replay provable.
+        through ingest, which is what makes replay provable.  The
+        context lives as long as the service, so it is decoded with the
+        collector paused and then frozen (see
+        :mod:`repro.datasets.gcpolicy`).
         """
-        return cls(load_dataset(path), **kwargs)
+        with gc_paused(freeze=True):
+            dataset = load_dataset(path)
+        return cls(dataset, **kwargs)
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -619,9 +619,11 @@ class SimulationEngine:
         not reached the pool (or was itself withheld) — including it
         would commit a child before its parent exists on-chain.
         """
+        # One column read per block, not a numpy scalar read per tx.
+        arrivals = pool_arrivals[:, pool_index].tolist()
         candidates: dict[str, tuple[Transaction, float]] = {}
         for txid, index in pending.items():
-            arrival = float(pool_arrivals[index, pool_index])
+            arrival = arrivals[index]
             if arrival <= block_time:
                 candidates[txid] = (plan[index].tx, arrival)
 

@@ -1,5 +1,8 @@
 """Tests for the experiment framework plumbing and dataset builders."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.analysis.base import (
@@ -14,7 +17,7 @@ from repro.datasets.builder import (
     clear_memory_cache,
 )
 from repro.datasets.io import dataset_path
-from repro.simulation.scenarios import honest_scenario
+from repro.simulation.scenarios import Scenario, honest_scenario
 
 
 class TestShapeChecks:
@@ -86,6 +89,70 @@ class TestBuilderCaching:
         b = build_dataset(honest_scenario(seed=2, blocks=15))
         assert a.chain.tip_hash != b.chain.tip_hash
         clear_memory_cache()
+
+
+class TestGcPolicy:
+    """Loads and builds run with the collector paused; a memoised
+    dataset is frozen until the memo is cleared."""
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_build_leaves_collector_state_as_found(self, enabled):
+        clear_memory_cache()
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            build_dataset(honest_scenario(seed=406, blocks=15))
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+            clear_memory_cache()
+
+    def test_failed_build_runs_paused_and_restores_collector(
+        self, monkeypatch
+    ):
+        clear_memory_cache()
+        seen = []
+
+        def failing_run(self, **kwargs):
+            seen.append(gc.isenabled())
+            raise RuntimeError("build failed")
+
+        monkeypatch.setattr(Scenario, "run", failing_run)
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="build failed"):
+            build_dataset(honest_scenario(seed=407, blocks=15))
+        assert seen == [False]
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+
+    def test_freeze_does_not_pin_garbage_alive_on_entry(self):
+        class Node:
+            pass
+
+        clear_memory_cache()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            node = Node()
+            node.cycle = node
+            ref = weakref.ref(node)
+            del node
+            build_dataset(honest_scenario(seed=409, blocks=15))
+            assert ref() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+            clear_memory_cache()
+
+    def test_memoised_dataset_is_frozen_until_cleared(self):
+        clear_memory_cache()
+        assert gc.get_freeze_count() == 0
+        build_dataset(honest_scenario(seed=408, blocks=15), use_memory_cache=False)
+        assert gc.get_freeze_count() == 0
+        build_dataset(honest_scenario(seed=408, blocks=15))
+        assert gc.get_freeze_count() > 0
+        clear_memory_cache()
+        assert gc.get_freeze_count() == 0
 
 
 class TestEventedHelpers:

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -72,7 +76,43 @@ class TestRun:
         _reset_process_caches()
 
 
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        probe = (
+            "import sys, repro.cli; print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
+
+
 class TestTrace:
+    def test_warm_load_is_charged_to_cache_load(self, tmp_path, capsys):
+        from repro.bench import _reset_process_caches
+
+        trace_file = tmp_path / "obs.json"
+        args = ["run", "table1", "--scale", "0.04", "--cache-dir", str(tmp_path)]
+        _reset_process_caches()
+        main(args)
+        _reset_process_caches()
+        main([*args, "--trace", "--trace-out", str(trace_file)])
+        _reset_process_caches()
+        capsys.readouterr()
+        spans = json.loads(trace_file.read_text())["spans"]
+        # One load each for A, B and C, none of them a build.
+        assert spans["cache.load"]["count"] == 3
+        assert spans["cache.load"]["total_seconds"] > 0
+        assert "cache.build" not in spans
+
     def test_trace_writes_wellformed_metrics_json(self, tmp_path, capsys):
         from repro.bench import _reset_process_caches
 

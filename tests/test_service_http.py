@@ -6,6 +6,7 @@ port and talks to it with raw ``http.client`` (not the retrying
 thing under test — 409 gaps, 503 backpressure, Retry-After headers.
 """
 
+import gc
 import http.client
 import json
 import threading
@@ -284,3 +285,22 @@ class TestAnnotations:
             server.shutdown()
             server.server_close()
             service.stop()
+
+
+class TestFromDatasetFile:
+    def test_served_context_is_frozen_and_collector_restored(
+        self, small_dataset_a, tmp_path
+    ):
+        from repro.datasets.io import save_dataset
+
+        path = save_dataset(small_dataset_a, tmp_path / "a.json.gz")
+        # Nothing frozen before the load, so the count below is its own.
+        gc.unfreeze()
+        try:
+            AuditService.from_dataset_file(
+                path, wal_dir=tmp_path / "wal", fsync=False
+            )
+            assert gc.isenabled()
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()

@@ -114,6 +114,22 @@ class TestFishersMethod:
     def test_zero_p_clipped(self):
         assert fishers_method([0.0, 0.5]) >= 0.0
 
+    def test_matches_scipy_chi2_sf_bit_for_bit(self):
+        from scipy.stats import chi2
+
+        grid = [1e-300, 1e-200, 1e-12, 1e-6, 0.001, 0.01, 0.05, 0.3, 0.5,
+                0.9, 0.999, 1.0]
+        clipped_away = [0.0, 1e-320, 1.5]
+        for k in range(1, 6):
+            for start in range(len(grid)):
+                ps = [grid[(start + i * 5) % len(grid)] for i in range(k)]
+                for extra in ([], clipped_away[k % 3 : k % 3 + 1]):
+                    values = ps + extra
+                    clipped = [min(max(p, 1e-300), 1.0) for p in values]
+                    statistic = -2.0 * sum(math.log(p) for p in clipped)
+                    expected = float(chi2.sf(statistic, 2 * len(clipped)))
+                    assert fishers_method(values) == expected, values
+
 
 class TestPrioritizationTest:
     def test_counts_x_and_y(self):
