@@ -33,17 +33,16 @@ def run(ctx: DataContext) -> ExperimentResult:
         window = (min(times), max(times)) if times else (0.0, 0.0)
     start, end = window
 
-    in_window = [
-        block
-        for block in dataset.chain
-        if start <= block.timestamp <= end
-    ]
+    # Heights index the chain, so both arrays are indexed by height.
+    times = dataset.block_times()
+    tx_counts = dataset.block_tx_counts().tolist()
+    in_window = np.flatnonzero((start <= times) & (times <= end)).tolist()
     pool_blocks: dict[str, int] = {}
     pool_txs: dict[str, int] = {}
-    for block in in_window:
-        pool = dataset.block_pools.get(block.height, "unknown")
+    for height in in_window:
+        pool = dataset.block_pools.get(height, "unknown")
         pool_blocks[pool] = pool_blocks.get(pool, 0) + 1
-        pool_txs[pool] = pool_txs.get(pool, 0) + block.tx_count
+        pool_txs[pool] = pool_txs.get(pool, 0) + tx_counts[height]
     total_blocks = len(in_window)
     overall = {est.pool: est.share for est in dataset.hash_rates()}
     rows = sorted(

@@ -27,15 +27,12 @@ def run(ctx: DataContext) -> ExperimentResult:
     ][:10]
     rows = []
     inferred_counts: dict[str, int] = {}
+    commit_heights = dataset.commit_heights()
     for pool in top_pools:
         wallets = dataset.pool_wallets.get(pool, frozenset())
         inferred = dataset.inferred_self_interest_txids_indexed(pool)
         truth = dataset.self_interest_txids(pool)
-        committed_truth = {
-            txid
-            for txid in truth
-            if dataset.tx_records[txid].commit_height is not None
-        }
+        committed_truth = truth & commit_heights.keys()
         inferred_counts[pool] = len(inferred)
         rows.append(
             (

@@ -49,11 +49,7 @@ def run(ctx: DataContext) -> ExperimentResult:
         for row in rows
         if row.test.accelerates(ALPHA) or row.test.decelerates(ALPHA)
     ]
-    committed_scam = sum(
-        1
-        for txid in scam_txids
-        if auditor.dataset.tx_records[txid].commit_height is not None
-    )
+    committed_scam = len(scam_txids & auditor.dataset.commit_heights().keys())
     measured = {
         "significant_pools": significant,
         "scam_txs": len(scam_txids),

@@ -378,11 +378,12 @@ class Auditor:
         """Reproduce Table 4 for one pool.
 
         The dataset's accelerated-transaction labels play the role of
-        the service's public checker.
+        the service's public checker.  The per-tx SPPE comes from the
+        packed arrays, so the sweep reads no blocks.
         """
         accelerated = self.dataset.accelerated_txids(service_name)
         return detection_sweep(
-            self.dataset.blocks_of(pool),
+            (),
             is_accelerated=lambda txid: txid in accelerated,
             pool=pool,
             thresholds=thresholds,
@@ -396,7 +397,7 @@ class Auditor:
         """Precision *and* recall against ground truth (extension)."""
         accelerated = self.dataset.accelerated_txids(service_name)
         return score_detector(
-            self.dataset.blocks_of(pool),
+            (),
             accelerated,
             sppe_by_txid=per_transaction_sppe_arrays(self.arrays(), pool=pool),
         )
@@ -417,25 +418,18 @@ class Auditor:
         the window closes.
         """
         block_times = self.dataset.block_times()
-        tip = len(block_times)
-        arrivals: list[float] = []
-        heights: list[int] = []
-        rates: list[float] = []
-        for record in self.dataset.tx_records.values():
-            if not record.observed:
-                continue
-            if record.commit_height is not None:
-                arrivals.append(record.observer_arrival)
-                heights.append(record.commit_height)
-                rates.append(record.fee_rate)
-            elif include_censored:
-                arrivals.append(record.observer_arrival)
-                heights.append(tip - 1)
-                rates.append(record.fee_rate)
-        if not arrivals:
+        arrivals, heights, rates = self.dataset.observed_records()
+        committed = heights >= 0
+        if include_censored:
+            heights = np.where(committed, heights, len(block_times) - 1)
+        else:
+            arrivals = arrivals[committed]
+            heights = heights[committed]
+            rates = rates[committed]
+        if not arrivals.size:
             return np.empty(0), np.empty(0, dtype=np.int64)
         delays = commit_delays_in_blocks(arrivals, heights, block_times)
-        return np.asarray(rates, dtype=float), delays
+        return rates, delays
 
     def delay_summary(self) -> DelaySummary:
         """Headline commit-delay stats (Fig 4a text)."""
@@ -458,11 +452,7 @@ class Auditor:
         source = self.dataset.size_series or self.dataset.snapshots
         if len(source.times) == 0:
             return {label: np.empty(0) for label in CONGESTION_BINS}
-        records = [
-            r for r in self.dataset.tx_records.values() if r.observed
-        ]
-        arrivals = [r.observer_arrival for r in records]
-        rates = [r.fee_rate for r in records]
+        arrivals, _, rates = self.dataset.observed_records()
         return fee_rates_by_congestion(arrivals, rates, source)
 
     def congested_fraction(self) -> float:

@@ -69,6 +69,10 @@ class Dataset:
         """Count of transactions issued (committed or not)."""
         return len(self.tx_records)
 
+    @property
+    def snapshot_count(self) -> int:
+        return len(self.snapshots)
+
     def pool_of(self, height: int) -> Optional[str]:
         return self.block_pools.get(height)
 
@@ -112,14 +116,39 @@ class Dataset:
         """Discovery time of each height, as an array indexed by height."""
         return np.asarray([block.timestamp for block in self.chain], dtype=float)
 
-    def committed_records(self) -> list[TxRecord]:
-        return [r for r in self.tx_records.values() if r.committed]
+    def block_tx_counts(self) -> np.ndarray:
+        """Non-coinbase transaction count of each height."""
+        return np.asarray(
+            [block.tx_count for block in self.chain], dtype=np.int64
+        )
+
+    def committed_count(self) -> int:
+        return sum(1 for r in self.tx_records.values() if r.committed)
 
     def observed_committed_records(self) -> list[TxRecord]:
         """Rows both seen by the observer and committed — the §4.1 base."""
         return [
             r for r in self.tx_records.values() if r.committed and r.observed
         ]
+
+    def observed_records(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(arrival, commit height, fee-rate) of each observed record.
+
+        Record order; an uncommitted record's height is -1.  The §4.1
+        delay and congestion joins read only these three columns.
+        """
+        records = [r for r in self.tx_records.values() if r.observed]
+        return (
+            np.asarray([r.observer_arrival for r in records], dtype=float),
+            np.asarray(
+                [
+                    -1 if r.commit_height is None else r.commit_height
+                    for r in records
+                ],
+                dtype=np.int64,
+            ),
+            np.asarray([r.fee_rate for r in records], dtype=float),
+        )
 
     def cpfp_txids(self) -> frozenset[str]:
         """All in-block CPFP children across the chain (Appendix E)."""
@@ -233,17 +262,20 @@ class Dataset:
     def empty_block_count(self) -> int:
         return sum(1 for block in self.chain if block.is_empty)
 
-    def summary(self) -> dict[str, object]:
-        """Table 1-style summary of this dataset."""
+    def cpfp_fraction(self) -> float:
+        """Share of committed transactions that are CPFP children."""
         from ..mempool.ancestry import cpfp_fraction
 
-        blocks = list(self.chain)
+        return cpfp_fraction(self.chain.blocks())
+
+    def summary(self) -> dict[str, object]:
+        """Table 1-style summary of this dataset."""
         return {
             "name": self.name,
-            "blocks": len(blocks),
+            "blocks": self.block_count,
             "transactions_issued": self.tx_count,
-            "transactions_committed": len(self.committed_records()),
-            "cpfp_fraction": cpfp_fraction(blocks),
+            "transactions_committed": self.committed_count(),
+            "cpfp_fraction": self.cpfp_fraction(),
             "empty_blocks": self.empty_block_count(),
-            "snapshots": len(self.snapshots),
+            "snapshots": self.snapshot_count,
         }

@@ -415,6 +415,8 @@ class SimulationEngine:
                 )
 
         processed = 0
+        # Every pool's arrival column as a list, converted once per run.
+        arrivals_by_pool = pool_arrivals.T.tolist()
         for index, (block_time, winner_index) in enumerate(schedule):
             if index < start_index:
                 continue
@@ -430,7 +432,7 @@ class SimulationEngine:
                     obs.counter("engine.blocks.empty")
                 else:
                     entries = self._eligible_entries(
-                        pending, plan, pool_arrivals, winner_index, block_time
+                        pending, plan, arrivals_by_pool[winner_index], block_time
                     )
                 block = winner.assemble_block(
                     height=len(chain),
@@ -609,18 +611,17 @@ class SimulationEngine:
         self,
         pending: dict[str, int],
         plan: Sequence[PlannedTx],
-        pool_arrivals: np.ndarray,
-        pool_index: int,
+        arrivals: list[float],
         block_time: float,
     ) -> list[MempoolEntry]:
         """Pending transactions that reached this pool, parent-closed.
 
-        A transaction is withheld if any parent is still pending but has
-        not reached the pool (or was itself withheld) — including it
-        would commit a child before its parent exists on-chain.
+        ``arrivals`` is the pool's arrival time of every planned
+        transaction, indexed like ``plan``.  A transaction is withheld
+        if any parent is still pending but has not reached the pool (or
+        was itself withheld) — including it would commit a child before
+        its parent exists on-chain.
         """
-        # One column read per block, not a numpy scalar read per tx.
-        arrivals = pool_arrivals[:, pool_index].tolist()
         candidates: dict[str, tuple[Transaction, float]] = {}
         for txid, index in pending.items():
             arrival = arrivals[index]

@@ -16,8 +16,11 @@ the interchange form.  The load-bearing contract tested here:
 
 import dataclasses
 import gzip
+import io
 import json
 import pickle
+import struct
+import zipfile
 
 import numpy as np
 import pytest
@@ -220,10 +223,13 @@ class TestCorruptionTaxonomy:
         del store, values
         raw[offset] ^= 0xFF
         path.write_bytes(bytes(raw))
+        # Re-stamp the CRCs so the load's CRC32 check passes and the
+        # graph build's own cross-check is what catches the flip.
+        _restamp_crcs(path)
         with pytest.raises(DatasetCorruptionError) as excinfo:
-            load_columnar(path)
+            load_columnar(path).chain
         assert "mismatch" in str(excinfo.value)
-
+        assert excinfo.value.reason.startswith("txid mismatch")
 
     def test_decode_cross_checks_block_hashes(self, tmp_path, small):
         """A corrupted header field is caught by block-hash recomputation."""
@@ -238,9 +244,27 @@ class TestCorruptionTaxonomy:
         del store, timestamps
         raw[offset + 6] ^= 0xFF
         path.write_bytes(bytes(raw))
+        _restamp_crcs(path)
         with pytest.raises(DatasetCorruptionError) as excinfo:
-            load_columnar(path)
+            load_columnar(path).chain
         assert "block hash mismatch" in str(excinfo.value)
+
+
+def _restamp_crcs(path) -> None:
+    """Rewrite a stored zip so each member's CRC32 matches its bytes."""
+    raw = path.read_bytes()
+    with zipfile.ZipFile(io.BytesIO(raw)) as archive:
+        infos = archive.infolist()
+    members = []
+    for info in infos:
+        header = info.header_offset
+        name_len, extra_len = struct.unpack("<HH", raw[header + 26 : header + 30])
+        start = header + 30 + name_len + extra_len
+        members.append((info, raw[start : start + info.compress_size]))
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED) as archive:
+        for info, data in members:
+            archive.writestr(info, data)
+
 
 class TestChainArraysZeroCopy:
     @pytest.mark.parametrize(
