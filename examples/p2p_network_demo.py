@@ -16,9 +16,9 @@ import numpy as np
 
 from repro.chain.blockchain import Blockchain
 from repro.mining.pool import MiningPool
-from repro.network.events import EventScheduler
-from repro.network.node import FullNode, NodeConfig, make_observer
-from repro.network.p2p import build_network
+from repro.reference.events import EventScheduler
+from repro.reference.node import FullNode, NodeConfig, make_observer
+from repro.reference.p2p import build_network
 from repro.chain.transaction import TransactionBuilder
 from repro.chain.address import AddressFactory
 

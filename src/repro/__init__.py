@@ -4,10 +4,11 @@ Ordering in the Bitcoin Blockchain: The Case for Chain Neutrality"
 
 The package has two halves:
 
-* a Bitcoin measurement *substrate* — chain data model, mempool, P2P
-  gossip, mining pools with pluggable (mis)ordering policies, and a
+* a Bitcoin measurement *substrate* — chain data model, mempool
+  snapshots, mining pools with pluggable (mis)ordering policies, and a
   deterministic simulator that regenerates analogues of the paper's
-  datasets A, B and C;
+  datasets A, B and C (the evented P2P mesh and per-tx loop the tests
+  check it against live in :mod:`repro.reference`);
 * the paper's *audit toolkit* — PPE/SPPE position metrics, pairwise
   norm-violation detection, binomial differential-prioritization tests,
   and the dark-fee (accelerated transaction) detector.
@@ -28,7 +29,6 @@ from .core import (
     Auditor,
     CpfpFilter,
     DetectionReport,
-    Norm,
     NormBasedFeeEstimator,
     PrioritizationTestResult,
     ScamRow,
@@ -62,7 +62,6 @@ __all__ = [
     "Auditor",
     "CpfpFilter",
     "DetectionReport",
-    "Norm",
     "NormBasedFeeEstimator",
     "PrioritizationTestResult",
     "ScamRow",

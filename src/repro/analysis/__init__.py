@@ -9,7 +9,7 @@ from .base import (
     paper_vs_measured_rows,
 )
 from .cdf import Ecdf, dominates, ecdf, quantile_table
-from .experiments import EXPERIMENTS, run_all, run_experiment, run_experiments
+from .experiments import EXPERIMENTS, run_experiment, run_experiments
 from .runner import (
     BatteryResult,
     ExperimentOutcome,
@@ -30,7 +30,6 @@ __all__ = [
     "ecdf",
     "quantile_table",
     "EXPERIMENTS",
-    "run_all",
     "run_experiment",
     "run_experiments",
     "BatteryResult",

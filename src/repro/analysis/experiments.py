@@ -85,8 +85,3 @@ def run_experiments(
 ) -> list[ExperimentResult]:
     """Run several experiments, sharing one data context."""
     return [run_experiment(eid, ctx) for eid in experiment_ids]
-
-
-def run_all(ctx: DataContext) -> list[ExperimentResult]:
-    """Run the full battery in paper order."""
-    return run_experiments(EXPERIMENTS, ctx)

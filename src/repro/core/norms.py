@@ -134,13 +134,3 @@ def prediction_for(
             return prediction
     return None
 
-
-class Norm(Enum):
-    """The three implicit norms catalogued in §2.1."""
-
-    #: Norm I: select transactions for inclusion by fee-rate.
-    FEE_RATE_SELECTION = "fee-rate-selection"
-    #: Norm II: order transactions within a block by fee-rate.
-    FEE_RATE_ORDERING = "fee-rate-ordering"
-    #: Norm III: never commit transactions below the minimum fee-rate.
-    MIN_FEE_THRESHOLD = "min-fee-threshold"

@@ -17,18 +17,9 @@ Layout:
 * :mod:`~repro.faults.degrade` — apply observer-side faults to an
   already-curated :class:`~repro.datasets.dataset.Dataset`;
 * :mod:`~repro.faults.quality` — :class:`DataQualityReport`, measured
-  coverage/gap/orphan statistics of a (possibly degraded) dataset;
-* :mod:`~repro.faults.checkpoint` — atomic checkpoint/resume for long
-  engine and history runs.
+  coverage/gap/orphan statistics of a (possibly degraded) dataset.
 """
 
-from .checkpoint import (
-    CheckpointConfig,
-    CheckpointError,
-    SimulationInterrupted,
-    load_checkpoint,
-    write_checkpoint,
-)
 from .degrade import degrade_dataset
 from .quality import DataQualityReport, assess_quality, detect_gaps
 from .schedule import (
@@ -39,11 +30,6 @@ from .schedule import (
 )
 
 __all__ = [
-    "CheckpointConfig",
-    "CheckpointError",
-    "SimulationInterrupted",
-    "load_checkpoint",
-    "write_checkpoint",
     "degrade_dataset",
     "DataQualityReport",
     "assess_quality",

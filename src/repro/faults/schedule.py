@@ -101,7 +101,7 @@ class FaultSchedule:
     tx_loss_rate: float = 0.0
     #: Probability each transaction never reaches a mining pool.
     pool_loss_rate: float = 0.0
-    #: Per-hop gossip drop probability (evented substrate only).
+    #: Per-hop gossip drop probability (evented reference substrate only).
     per_hop_loss_rate: float = 0.0
     #: Probability each block discovery goes stale (loses the race).
     stale_block_rate: float = 0.0
@@ -111,7 +111,7 @@ class FaultSchedule:
     downtime: Tuple[OutageWindow, ...] = ()
     #: Partition/eclipse windows: traffic is deferred to the window end.
     partitions: Tuple[OutageWindow, ...] = ()
-    #: Crash/restart events (mempool wipes) on the evented substrate.
+    #: Crash/restart events (mempool wipes) on the evented reference substrate.
     crashes: Tuple[NodeCrash, ...] = ()
 
     def __post_init__(self) -> None:

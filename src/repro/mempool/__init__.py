@@ -1,4 +1,4 @@
-"""Mempool substrate: admission, ancestry/CPFP, and snapshotting."""
+"""Mempool data: entries, ancestry/CPFP, and snapshots."""
 
 from .ancestry import (
     AncestryIndex,
@@ -9,12 +9,11 @@ from .ancestry import (
     find_cpfp_parent_txids,
     find_cpfp_txids,
 )
-from .mempool import AdmissionResult, Mempool, MempoolEntry, RejectionReason
+from .mempool import MempoolEntry
 from .snapshots import (
     CONGESTION_BINS,
     MempoolSnapshot,
     SizeSeries,
-    SnapshotRecorder,
     SnapshotStore,
     SnapshotTx,
     congestion_bin,
@@ -29,14 +28,10 @@ __all__ = [
     "dependency_closure",
     "find_cpfp_parent_txids",
     "find_cpfp_txids",
-    "AdmissionResult",
-    "Mempool",
     "MempoolEntry",
-    "RejectionReason",
     "CONGESTION_BINS",
     "MempoolSnapshot",
     "SizeSeries",
-    "SnapshotRecorder",
     "SnapshotStore",
     "SnapshotTx",
     "congestion_bin",

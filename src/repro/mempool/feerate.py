@@ -7,8 +7,9 @@ inside the 53-bit mantissa; large fees or vsizes can collapse two
 through to tie-break keys — and template output starts depending on
 incidental details (arrival times, txids, the code path taken) instead
 of on the rates themselves.  Every ordering-sensitive consumer in the
-production path (both template builders, boosted-head sorts, the
-mempool eviction planner) therefore ranks through this module.
+production path (both template builders, boosted-head sorts) therefore
+ranks through this module, and so does the reference mempool's
+eviction planner.
 
 :func:`fee_rate_rank` embeds ``fee / vsize`` into the integers by
 scaling with ``2**FEE_RATE_RANK_SHIFT`` before the floor division.  For
@@ -39,12 +40,3 @@ def fee_rate_rank(fee: int, vsize: int) -> int:
         raise ValueError(f"vsize must be positive, got {vsize}")
     return (fee << FEE_RATE_RANK_SHIFT) // vsize
 
-
-def fee_rate_exceeds(fee_a: int, vsize_a: int, fee_b: int, vsize_b: int) -> bool:
-    """``fee_a/vsize_a > fee_b/vsize_b``, by integer cross-multiplication."""
-    return fee_a * vsize_b > fee_b * vsize_a
-
-
-def fee_rate_at_least(fee_a: int, vsize_a: int, fee_b: int, vsize_b: int) -> bool:
-    """``fee_a/vsize_a >= fee_b/vsize_b``, by integer cross-multiplication."""
-    return fee_a * vsize_b >= fee_b * vsize_a

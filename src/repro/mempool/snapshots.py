@@ -3,9 +3,10 @@
 Datasets A and B are sequences of mempool snapshots taken every 15
 seconds by an observer full node.  Each snapshot records, per pending
 transaction, the tuple the audit consumes: (txid, arrival time at the
-observer, fee, vsize).  This module provides the snapshot record, the
-recorder that a simulated observer drives, and a store with the query
-operations used by the congestion and violation analyses.
+observer, fee, vsize).  This module provides the snapshot record and a
+store with the query operations used by the congestion and violation
+analyses; the engine writes them when it reconstructs an observer's
+mempool.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ..chain.constants import MAX_BLOCK_VSIZE
-from .mempool import Mempool, MempoolEntry
 
 
 @dataclass(frozen=True)
@@ -111,59 +111,6 @@ def congestion_bin(total_vsize: int) -> str:
     if total_vsize <= 4 * mb:
         return CONGESTION_BINS[2]
     return CONGESTION_BINS[3]
-
-
-class SnapshotRecorder:
-    """Capture :class:`MempoolSnapshot` objects from a live mempool."""
-
-    def __init__(self, interval: float = 15.0) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.interval = interval
-        self._snapshots: list[MempoolSnapshot] = []
-        self._last_time: Optional[float] = None
-        # id(entry) -> (entry, row) for the entries of the last capture.
-        # Holding the entry keeps its id from being reused.
-        self._rows: dict[int, tuple[MempoolEntry, SnapshotTx]] = {}
-
-    def due(self, now: float) -> bool:
-        """True if a snapshot should be taken at time ``now``."""
-        if self._last_time is None:
-            return True
-        return now - self._last_time >= self.interval
-
-    def capture(self, mempool: Mempool, now: float) -> MempoolSnapshot:
-        """Record and return the current mempool state.
-
-        ``MempoolEntry`` is frozen, so an entry still pending since the
-        last capture reuses that capture's ``SnapshotTx``: an evented
-        run's snapshots hold millions of rows but only one per entry.
-        """
-        previous = self._rows
-        rows: dict[int, tuple[MempoolEntry, SnapshotTx]] = {}
-        for entry in mempool.entries():
-            key = id(entry)
-            row = previous.get(key)
-            if row is None:
-                tx = entry.tx
-                row = entry, SnapshotTx(
-                    tx.txid, entry.arrival_time, tx.fee, tx.vsize
-                )
-            rows[key] = row
-        self._rows = rows
-        snapshot = MempoolSnapshot(
-            time=now, txs=tuple(row[1] for row in rows.values())
-        )
-        self._snapshots.append(snapshot)
-        self._last_time = now
-        return snapshot
-
-    @property
-    def snapshots(self) -> list[MempoolSnapshot]:
-        return list(self._snapshots)
-
-    def store(self) -> "SnapshotStore":
-        return SnapshotStore(self._snapshots)
 
 
 class SnapshotStore:

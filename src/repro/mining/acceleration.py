@@ -151,29 +151,6 @@ class AccelerationService:
     def orders(self) -> list[AccelerationOrder]:
         return list(self._orders.values())
 
-    # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
-    def export_orders(self) -> list[list]:
-        """The order book as JSON-ready rows (insertion-ordered)."""
-        return [
-            [order.txid, order.fee_paid, order.accepted_at, order.public_fee]
-            for order in self._orders.values()
-        ]
-
-    def restore_orders(self, rows: list) -> None:
-        """Replace the order book with previously exported rows."""
-        self._orders = {
-            txid: AccelerationOrder(
-                txid=txid,
-                fee_paid=int(fee_paid),
-                accepted_at=float(accepted_at),
-                public_fee=int(public_fee),
-            )
-            for txid, fee_paid, accepted_at, public_fee in rows
-        }
-        self._txid_cache = None
-
     @property
     def revenue(self) -> int:
         """Total dark fees collected, in satoshi."""

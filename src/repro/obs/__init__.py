@@ -30,7 +30,6 @@ import os
 from .invariants import (
     CHECK_ENV,
     InvariantViolation,
-    check_engine_block_state,
     force,
     invariants_enabled,
 )
@@ -44,10 +43,6 @@ from .registry import (
 
 #: The process-wide registry every instrumented module records into.
 _REGISTRY = ObsRegistry()
-
-
-def get_registry() -> ObsRegistry:
-    return _REGISTRY
 
 
 def is_enabled() -> bool:
@@ -119,7 +114,6 @@ __all__ = [
     "ObsRegistry",
     "SNAPSHOT_VERSION",
     "TRACE_ENV",
-    "check_engine_block_state",
     "counter",
     "delta",
     "disable",
@@ -127,7 +121,6 @@ __all__ = [
     "force",
     "gauge",
     "gauge_max",
-    "get_registry",
     "invariants_enabled",
     "is_enabled",
     "merge",

@@ -3,14 +3,16 @@
 The audit is only as trustworthy as the substrate's bookkeeping — a
 drifting ``total_vsize`` silently skews every congestion bin, and a
 confirmed transaction lingering in the pending set corrupts the very
-commit positions the PPE/SPPE metrics rank.  This module centralises
-the *gate* (``REPRO_AUDIT_CHECK=1``, or :func:`force`, which the test
+commit positions the PPE/SPPE metrics rank.  This module holds the
+*gate* (``REPRO_AUDIT_CHECK=1``, or :func:`force`, which the test
 suite's conftest uses to keep checks always-on under pytest) and the
-cross-structure checks that do not belong to a single class.
+error type every check raises.
 
-:meth:`repro.mempool.mempool.Mempool.check_invariants` owns the
-mempool's own contract; the engine calls
-:func:`check_engine_block_state` at every block boundary.  Violations
+The checks themselves live with the state they check: the engine's
+snapshot-totals check (:mod:`repro.simulation.engine`), the fast
+path's block-state mirror (:mod:`repro.simulation.fast`), and, in the
+reference substrates, ``Mempool.check_invariants`` and
+``check_engine_block_state`` (:mod:`repro.reference`).  Violations
 raise :class:`InvariantViolation` — a subclass of ``AssertionError``,
 because a violated invariant is a programming error, never an input
 error.
@@ -19,10 +21,7 @@ error.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..chain.block import Block
+from typing import Optional
 
 #: Environment switch: set to 1 to run invariant checks in any process.
 CHECK_ENV = "REPRO_AUDIT_CHECK"
@@ -47,34 +46,3 @@ def force(value: Optional[bool]) -> None:
     global _FORCED
     _FORCED = value
 
-
-def check_engine_block_state(
-    pending: dict,
-    pending_spenders: dict,
-    committed: dict,
-    block: "Block",
-) -> None:
-    """Engine contract at a block boundary (after committing ``block``).
-
-    * no committed txid may still be pending;
-    * every conflict-index entry must point at a pending transaction;
-    * nothing the block just committed may survive in the pending set.
-    """
-    overlap = pending.keys() & committed.keys()
-    if overlap:
-        sample = sorted(overlap)[:3]
-        raise InvariantViolation(
-            f"{len(overlap)} committed txid(s) still pending "
-            f"(e.g. {', '.join(sample)})"
-        )
-    for outpoint, txid in pending_spenders.items():
-        if txid not in pending:
-            raise InvariantViolation(
-                f"conflict index maps {outpoint!r} to non-pending tx {txid}"
-            )
-    for tx in block.transactions:
-        if tx.txid in pending:
-            raise InvariantViolation(
-                f"tx {tx.txid} committed at height {block.height} "
-                "but still pending"
-            )

@@ -25,15 +25,16 @@ Failure handling:
 * **corruption anywhere else** (bad magic, CRC mismatch followed by
   more data) raises :class:`WalCorruptionError` — silently auditing on
   top of a damaged journal is the one unacceptable outcome;
-* **compaction** folds the journal into an atomic fsync'd checkpoint
-  (:func:`repro.faults.checkpoint.write_checkpoint`) and truncates the
-  journal, bounding replay time.  A crash between those two steps is
+* **compaction** folds the journal into an atomic fsync'd gzip-JSON
+  checkpoint (written to ``<path>.tmp`` and moved into place with
+  :func:`os.replace`) and truncates the journal, bounding replay time.  A crash between those two steps is
   benign: replay skips entries at or below the checkpoint height, which
   also makes re-delivery of already-applied blocks idempotent.
 """
 
 from __future__ import annotations
 
+import gzip
 import json
 import os
 import struct
@@ -44,7 +45,6 @@ from typing import Optional, Union
 from .. import obs
 from ..chain.block import Block
 from ..datasets.io import _decode_block, _encode_block
-from ..faults.checkpoint import CheckpointError, load_checkpoint, write_checkpoint
 
 MAGIC = b"RAWJ"
 VERSION = 1
@@ -57,6 +57,49 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 class WalCorruptionError(RuntimeError):
     """The journal is damaged beyond a torn tail; refuse to audit on it."""
+
+
+def _write_checkpoint(path: Path, payload: dict) -> None:
+    """Atomically and durably persist ``payload`` as gzip-JSON at ``path``.
+
+    The payload is forced to disk before the rename and the directory
+    entry after it, so a crash mid-write leaves the previous checkpoint
+    in place and a finished write survives a crash of the machine.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with gzip.open(tmp, "wt", encoding="utf-8") as handle:
+            json.dump(payload, handle, separators=(",", ":"))
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+    finally:
+        if tmp.exists():
+            tmp.unlink()
+
+
+def _load_checkpoint(path: Path) -> Optional[dict]:
+    """Read a checkpoint, or None when no file exists.
+
+    A present-but-unreadable checkpoint raises
+    :class:`WalCorruptionError` rather than silently recovering to an
+    empty history.
+    """
+    if not path.exists():
+        return None
+    try:
+        with gzip.open(path, "rt", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (EOFError, OSError, ValueError, UnicodeDecodeError, zlib.error) as exc:
+        raise WalCorruptionError(f"unreadable checkpoint {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise WalCorruptionError(f"checkpoint {path} is not a JSON object")
+    return payload
 
 
 def encode_entry(height: int, pool: str, block: Block) -> dict:
@@ -205,10 +248,7 @@ class BlockJournal:
         the compaction crash window re-delivers them — so replaying the
         returned list is always gap-free and duplicate-free.
         """
-        try:
-            checkpoint = load_checkpoint(self.checkpoint_path)
-        except CheckpointError as exc:
-            raise WalCorruptionError(str(exc)) from exc
+        checkpoint = _load_checkpoint(self.checkpoint_path)
         entries: list[dict] = []
         applied = -1
         if checkpoint is not None:
@@ -241,10 +281,8 @@ class BlockJournal:
         truncates; a crash between the two only widens the idempotent
         replay window.
         """
-        write_checkpoint(
-            self.checkpoint_path,
-            {"version": VERSION, "entries": entries},
-            fsync=True,
+        _write_checkpoint(
+            self.checkpoint_path, {"version": VERSION, "entries": entries}
         )
         self._truncate_to(0, kept=0)
         obs.counter("service.checkpoints")

@@ -2,13 +2,13 @@
 
 The engine plays out a scenario on a *vectorised fast path*: instead of
 flooding every transaction through an evented P2P mesh (see
-:mod:`repro.network.p2p`, which remains the reference implementation),
+:mod:`repro.reference.p2p`, kept as a test-only reference substrate),
 it draws, per transaction, an independent arrival time at every mining
 pool and at every observer node from the latency model.  Propagation
 skew — the observable that matters to the audit — is preserved, while
 the cost drops from O(txs x edges) events to O(txs) work plus one pass
-per block.  An integration test cross-checks the two paths on a small
-scenario.
+per block.  ``tests/test_evented_vs_engine.py`` cross-checks the two
+paths on small scenarios.
 
 Flow per scenario:
 
@@ -23,7 +23,6 @@ Flow per scenario:
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -37,10 +36,8 @@ from ..chain.constants import (
     SNAPSHOT_INTERVAL,
     TARGET_BLOCK_INTERVAL,
 )
-from ..chain.transaction import Transaction
 from ..datasets.dataset import Dataset
 from ..datasets.records import TxRecord
-from ..mempool.mempool import MempoolEntry
 from ..mempool.snapshots import (
     MempoolSnapshot,
     SizeSeries,
@@ -49,16 +46,11 @@ from ..mempool.snapshots import (
 )
 from ..mining.acceleration import AccelerationService
 from ..mining.pool import MiningPool, make_directory, normalize_hash_shares
-from ..obs.invariants import (
-    InvariantViolation,
-    check_engine_block_state,
-    invariants_enabled,
-)
+from ..obs.invariants import InvariantViolation, invariants_enabled
 from .rng import RngStreams
 from .workload import PlannedTx
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults.checkpoint import CheckpointConfig
     from ..faults.schedule import FaultSchedule
     from ..mining.adversaries import SelfishMiningAttack
 
@@ -222,32 +214,18 @@ class SimulationEngine:
     # Main loop
     # ------------------------------------------------------------------
     def run(
-        self,
-        plan: Sequence[PlannedTx],
-        checkpoint: Optional["CheckpointConfig"] = None,
-        *,
-        scalar: bool = False,
+        self, plan: Sequence[PlannedTx], *, scalar: bool = False
     ) -> SimulationResult:
         """Execute the scenario over ``plan`` and curate datasets.
 
         Blocks are produced by the vectorized fast path unless
         ``scalar`` selects the per-tx reference loop (the differential
-        oracle).  When ``checkpoint`` is given, the per-tx loop runs
-        too: loop state (blocks, commitments, RNG streams, acceleration
-        order books) is persisted atomically every
-        ``checkpoint.every_blocks`` blocks, and an existing checkpoint
-        at ``checkpoint.path`` resumes the run mid-schedule, reproducing
-        the uninterrupted run exactly.
+        oracle, :mod:`repro.reference.per_tx`).
         """
         with obs.span("engine.run"):
-            return self._run(plan, checkpoint, scalar)
+            return self._run(plan, scalar)
 
-    def _run(
-        self,
-        plan: Sequence[PlannedTx],
-        checkpoint: Optional["CheckpointConfig"],
-        scalar: bool,
-    ) -> SimulationResult:
+    def _run(self, plan: Sequence[PlannedTx], scalar: bool) -> SimulationResult:
         plan = sorted(plan, key=lambda p: (p.broadcast_time, p.tx.txid))
         count = len(plan)
         pool_delays = self._pool_delays(count)
@@ -294,357 +272,26 @@ class SimulationEngine:
         # The vectorized production loop (repro.simulation.fast) is
         # byte-identical to the per-tx loop by contract
         # (tests/test_engine_oracle.py).  The per-tx loop is the
-        # differential oracle, selected by ``scalar=True``, and the only
-        # loop that resumes from a checkpoint: it keeps per-block dict
-        # state that a checkpoint can persist.
-        if scalar or checkpoint is not None:
-            committed, chain, orphaned = self._produce_per_tx(
-                plan, pool_arrivals, schedule, stale_mask, mining_rng, checkpoint
-            )
+        # differential oracle, selected by ``scalar=True``; it is the
+        # one production import of repro.reference.
+        if scalar:
+            from ..reference.per_tx import produce_per_tx as produce
         else:
-            from .fast import produce_fast
+            from .fast import produce_fast as produce
 
-            committed, chain, orphaned = produce_fast(
-                self,
-                plan,
-                broadcast_times,
-                pool_arrivals,
-                schedule,
-                stale_mask,
-                mining_rng,
-                check_invariants=invariants_enabled(),
-            )
+        committed, chain, orphaned = produce(
+            self,
+            plan,
+            broadcast_times,
+            pool_arrivals,
+            schedule,
+            stale_mask,
+            mining_rng,
+            check_invariants=invariants_enabled(),
+        )
         return self._curate(
             plan, broadcast_times, observer_delays, committed, chain, orphaned
         )
-
-    def _produce_per_tx(
-        self,
-        plan: Sequence[PlannedTx],
-        pool_arrivals: np.ndarray,
-        schedule: Sequence[tuple[float, int]],
-        stale_mask: Optional[np.ndarray],
-        mining_rng: np.random.Generator,
-        checkpoint: Optional["CheckpointConfig"],
-    ) -> tuple[dict[str, tuple[int, int, float]], Blockchain, int]:
-        """The per-tx reference loop: (committed, chain, orphaned)."""
-        count = len(plan)
-        # Pending pool: index into `plan` for not-yet-committed txs,
-        # plus conflict bookkeeping (outpoint -> pending spender) so
-        # replace-by-fee bumps evict what they displace and stale
-        # replacements of already-committed transactions are dropped.
-        pending: dict[str, int] = {}
-        pending_spenders: dict[object, str] = {}
-        committed_outpoints: set = set()
-        committed: dict[str, tuple[int, int, float]] = {}  # txid -> (height, pos, time)
-        chain = Blockchain()
-        plan_index = 0
-        # In-plan parent -> children, for cascading evictions when a
-        # replaced transaction had dependants.
-        plan_txids = {p.tx.txid for p in plan}
-        plan_children: dict[str, list[str]] = {}
-        for planned in plan:
-            for parent in planned.tx.parent_txids:
-                if parent in plan_txids:
-                    plan_children.setdefault(parent, []).append(planned.tx.txid)
-
-        def evict(txid: str) -> None:
-            """Drop a pending tx and, recursively, its pending children."""
-            index = pending.pop(txid, None)
-            if index is None:
-                return
-            loser_tx = plan[index].tx
-            for txin in loser_tx.inputs:
-                if pending_spenders.get(txin.prevout) == txid:
-                    del pending_spenders[txin.prevout]
-            for child in plan_children.get(txid, ()):
-                evict(child)
-
-        def admit(planned: PlannedTx, index: int) -> None:
-            tx = planned.tx
-            if any(txin.prevout in committed_outpoints for txin in tx.inputs):
-                obs.counter("mempool.pending.chain_conflict")
-                return  # conflicts with the chain: the original won
-            displaced = {
-                pending_spenders[txin.prevout]
-                for txin in tx.inputs
-                if txin.prevout in pending_spenders
-                and pending_spenders[txin.prevout] != tx.txid
-            }
-            for loser in displaced:
-                loser_tx = plan[pending[loser]].tx
-                if tx.fee <= loser_tx.fee:
-                    obs.counter("mempool.pending.rbf_rejected")
-                    return  # not a valid fee bump: keep the incumbent
-            if displaced:
-                obs.counter("mempool.rbf_replacements", len(displaced))
-            for loser in displaced:
-                evict(loser)
-            obs.counter("mempool.pending.admitted")
-            pending[tx.txid] = index
-            for txin in tx.inputs:
-                pending_spenders[txin.prevout] = tx.txid
-            if planned.accelerate_via is not None:
-                service = self.services.get(planned.accelerate_via)
-                if service is not None:
-                    service.accelerate(
-                        tx.txid,
-                        public_fee=tx.fee,
-                        now=planned.broadcast_time,
-                    )
-
-        orphaned = 0
-        start_index = 0
-        fingerprint = None
-        if checkpoint is not None:
-            from ..faults.checkpoint import load_checkpoint
-
-            fingerprint = self._plan_fingerprint(plan, schedule)
-            state = load_checkpoint(checkpoint.path)
-            if state is not None:
-                start_index, plan_index, orphaned = self._restore_checkpoint(
-                    state,
-                    checkpoint,
-                    fingerprint,
-                    plan,
-                    pending,
-                    pending_spenders,
-                    committed_outpoints,
-                    committed,
-                    chain,
-                )
-
-        processed = 0
-        # Every pool's arrival column as a list, converted once per run.
-        arrivals_by_pool = pool_arrivals.T.tolist()
-        for index, (block_time, winner_index) in enumerate(schedule):
-            if index < start_index:
-                continue
-            # Admit all broadcasts up to this discovery.
-            while plan_index < count and plan[plan_index].broadcast_time <= block_time:
-                admit(plan[plan_index], plan_index)
-                plan_index += 1
-
-            winner = self.pools[winner_index]
-            with obs.span("engine.mine_block"):
-                if mining_rng.random() < self.config.empty_block_probability:
-                    entries: list[MempoolEntry] = []
-                    obs.counter("engine.blocks.empty")
-                else:
-                    entries = self._eligible_entries(
-                        pending, plan, arrivals_by_pool[winner_index], block_time
-                    )
-                block = winner.assemble_block(
-                    height=len(chain),
-                    prev_hash=chain.tip_hash,
-                    timestamp=block_time,
-                    entries=entries,
-                )
-            if stale_mask is not None and stale_mask[index]:
-                # Stale/reorged: the block lost the propagation race and
-                # is never committed; its transactions stay pending and
-                # re-enter the next winner's candidate set.
-                orphaned += 1
-                obs.counter("engine.blocks.orphaned")
-            else:
-                chain.append(block)
-                for position, tx in enumerate(block.transactions):
-                    committed[tx.txid] = (block.height, position, block_time)
-                    pending.pop(tx.txid, None)
-                    for txin in tx.inputs:
-                        committed_outpoints.add(txin.prevout)
-                        if pending_spenders.get(txin.prevout) == tx.txid:
-                            del pending_spenders[txin.prevout]
-                obs.counter("engine.blocks.committed")
-                obs.counter("engine.txs.committed", len(block.transactions))
-                if invariants_enabled():
-                    check_engine_block_state(
-                        pending, pending_spenders, committed, block
-                    )
-
-            processed += 1
-            if checkpoint is not None:
-                abort = (
-                    checkpoint.abort_after_blocks is not None
-                    and processed >= checkpoint.abort_after_blocks
-                )
-                if abort or processed % checkpoint.every_blocks == 0:
-                    self._write_checkpoint(
-                        checkpoint,
-                        fingerprint,
-                        index + 1,
-                        plan_index,
-                        orphaned,
-                        pending,
-                        committed,
-                        chain,
-                    )
-                if abort:
-                    from ..faults.checkpoint import SimulationInterrupted
-
-                    raise SimulationInterrupted(
-                        f"aborted after {processed} blocks "
-                        f"(checkpoint at {checkpoint.path})"
-                    )
-
-        return committed, chain, orphaned
-
-    # ------------------------------------------------------------------
-    # Checkpoint/resume
-    # ------------------------------------------------------------------
-    def _plan_fingerprint(
-        self, plan: Sequence[PlannedTx], schedule: Sequence[tuple[float, int]]
-    ) -> str:
-        """Digest binding a checkpoint to one (seed, plan, schedule, faults)."""
-        digest = hashlib.sha256()
-        digest.update(str(self.streams.root_seed).encode("utf-8"))
-        digest.update(str(len(schedule)).encode("utf-8"))
-        if schedule:
-            digest.update(repr(schedule[0]).encode("utf-8"))
-            digest.update(repr(schedule[-1]).encode("utf-8"))
-        if self.faults is not None:
-            digest.update(
-                repr(sorted(self.faults.describe().items())).encode("utf-8")
-            )
-        for attack in self.attacks:
-            digest.update(repr(sorted(attack.describe().items())).encode("utf-8"))
-        for planned in plan:
-            digest.update(planned.tx.txid.encode("utf-8"))
-        return digest.hexdigest()[:32]
-
-    def _write_checkpoint(
-        self,
-        checkpoint: "CheckpointConfig",
-        fingerprint: str,
-        next_index: int,
-        plan_index: int,
-        orphaned: int,
-        pending: dict[str, int],
-        committed: dict[str, tuple[int, int, float]],
-        chain: Blockchain,
-    ) -> None:
-        from ..datasets.io import _encode_block
-        from ..faults.checkpoint import write_checkpoint
-
-        payload = {
-            "version": 1,
-            "fingerprint": fingerprint,
-            "next_index": next_index,
-            "plan_index": plan_index,
-            "orphaned": orphaned,
-            "blocks": [_encode_block(block) for block in chain],
-            "committed": {
-                txid: list(value) for txid, value in committed.items()
-            },
-            "pending": sorted(pending),
-            "streams": self.streams.state_dict(),
-            "extra_streams": [
-                registry.state_dict() for registry in checkpoint.extra_streams
-            ],
-            "services": {
-                name: service.export_orders()
-                for name, service in sorted(self.services.items())
-            },
-            "pool_address_cursors": {
-                pool.name: pool._next_address for pool in self.pools
-            },
-        }
-        write_checkpoint(checkpoint.path, payload)
-
-    def _restore_checkpoint(
-        self,
-        state: dict,
-        checkpoint: "CheckpointConfig",
-        fingerprint: str,
-        plan: Sequence[PlannedTx],
-        pending: dict[str, int],
-        pending_spenders: dict[object, str],
-        committed_outpoints: set,
-        committed: dict[str, tuple[int, int, float]],
-        chain: Blockchain,
-    ) -> tuple[int, int, int]:
-        from ..datasets.io import _decode_block
-        from ..faults.checkpoint import CheckpointError
-
-        if state.get("fingerprint") != fingerprint:
-            raise CheckpointError(
-                f"checkpoint {checkpoint.path} belongs to a different run "
-                "(seed, plan, schedule or fault configuration differ)"
-            )
-        txid_to_index = {p.tx.txid: i for i, p in enumerate(plan)}
-        try:
-            for payload in state["blocks"]:
-                chain.append(_decode_block(payload, chain.tip_hash))
-            for txid, value in state["committed"].items():
-                height, position, block_time = value
-                committed[txid] = (int(height), int(position), float(block_time))
-                for txin in plan[txid_to_index[txid]].tx.inputs:
-                    committed_outpoints.add(txin.prevout)
-            for txid in state["pending"]:
-                index = txid_to_index[txid]
-                pending[txid] = index
-                for txin in plan[index].tx.inputs:
-                    pending_spenders[txin.prevout] = txid
-            self.streams.load_state_dict(state["streams"])
-            for registry, payload in zip(
-                checkpoint.extra_streams, state["extra_streams"]
-            ):
-                registry.load_state_dict(payload)
-            for name, orders in state["services"].items():
-                service = self.services.get(name)
-                if service is not None:
-                    service.restore_orders(orders)
-            cursors = state["pool_address_cursors"]
-            for pool in self.pools:
-                pool._next_address = int(cursors[pool.name])
-            return (
-                int(state["next_index"]),
-                int(state["plan_index"]),
-                int(state["orphaned"]),
-            )
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed checkpoint {checkpoint.path}: {exc!r}"
-            ) from exc
-
-    def _eligible_entries(
-        self,
-        pending: dict[str, int],
-        plan: Sequence[PlannedTx],
-        arrivals: list[float],
-        block_time: float,
-    ) -> list[MempoolEntry]:
-        """Pending transactions that reached this pool, parent-closed.
-
-        ``arrivals`` is the pool's arrival time of every planned
-        transaction, indexed like ``plan``.  A transaction is withheld
-        if any parent is still pending but has not reached the pool (or
-        was itself withheld) — including it would commit a child before
-        its parent exists on-chain.
-        """
-        candidates: dict[str, tuple[Transaction, float]] = {}
-        for txid, index in pending.items():
-            arrival = arrivals[index]
-            if arrival <= block_time:
-                candidates[txid] = (plan[index].tx, arrival)
-
-        pending_set = set(pending)
-        eligible: dict[str, MempoolEntry] = {}
-        # Iterate to a fixpoint: removing a parent can orphan its child.
-        changed = True
-        selected = dict(candidates)
-        while changed:
-            changed = False
-            for txid in list(selected):
-                tx, _ = selected[txid]
-                for parent in tx.parent_txids:
-                    if parent in pending_set and parent not in selected:
-                        del selected[txid]
-                        changed = True
-                        break
-        for txid, (tx, arrival) in selected.items():
-            eligible[txid] = MempoolEntry(tx=tx, arrival_time=arrival)
-        return list(eligible.values())
 
     # ------------------------------------------------------------------
     # Dataset curation
@@ -885,25 +532,3 @@ class SimulationEngine:
         series = SizeSeries(times=times, vsizes=sizes, tx_counts=counts)
         return series, SnapshotStore(snapshots)
 
-
-def run_scenario(
-    config: EngineConfig,
-    pools: Sequence[MiningPool],
-    observers: Sequence[ObserverConfig],
-    plan: Sequence[PlannedTx],
-    streams: RngStreams,
-    services: Sequence[AccelerationService] = (),
-    faults: Optional["FaultSchedule"] = None,
-    attacks: Sequence["SelfishMiningAttack"] = (),
-) -> SimulationResult:
-    """One-call convenience wrapper around :class:`SimulationEngine`."""
-    engine = SimulationEngine(
-        config=config,
-        pools=pools,
-        observers=observers,
-        streams=streams,
-        services=services,
-        faults=faults,
-        attacks=attacks,
-    )
-    return engine.run(plan)

@@ -1,12 +1,12 @@
 """repro.simulation.fast — the engine's vectorized production hot path.
 
-The scalar loop in :mod:`repro.simulation.engine` admits one planned
+The scalar loop in :mod:`repro.reference.per_tx` admits one planned
 transaction at a time into python dicts and rebuilds every block
 template from freshly materialised :class:`MempoolEntry` lists.  That
 is the *oracle*: small, obviously faithful to the model, and selected
-by ``SimulationEngine.run(plan, scalar=True)`` (or any checkpointed
-run).  This module is the fast path the engine dispatches to by
-default, and its contract is strict:
+by ``SimulationEngine.run(plan, scalar=True)``.  This module is the
+fast path the engine dispatches to by default, and its contract is
+strict:
 
 **byte-identical datasets.**  Not "statistically equivalent" — the
 serialized output of a scenario run must not change by a single byte

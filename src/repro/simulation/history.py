@@ -20,7 +20,7 @@ straight into the output tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,9 +31,6 @@ from ..chain.transaction import TransactionBuilder, coinbase_value, make_coinbas
 from ..mempool.mempool import MempoolEntry
 from ..mining.policies import FeeRatePolicy, OrderingPolicy, PriorityPolicy
 from .rng import RngStreams
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults.checkpoint import CheckpointConfig
 
 #: Blocks per calendar year at the 10-minute target.
 BLOCKS_PER_YEAR = 52_560
@@ -194,27 +191,6 @@ class EraBlock:
     block: Block
 
 
-class _EraCursor:
-    """Mutable generation state shared with the checkpoint wrapper.
-
-    :func:`iter_era_blocks` advances these fields as it yields, so the
-    checkpointed caller can snapshot (RNG streams, identifier counters,
-    chain tip) between blocks without the generator knowing about
-    checkpoints at all.
-    """
-
-    __slots__ = ("streams", "rng", "builder", "addresses", "prev_hash", "height", "nonce")
-
-    def __init__(self, seed: int) -> None:
-        self.streams = RngStreams(seed)
-        self.rng = self.streams.stream("era")
-        self.builder = TransactionBuilder(namespace=f"era/{seed}")
-        self.addresses = AddressFactory(namespace=f"era-users/{seed}")
-        self.prev_hash = GENESIS_HASH
-        self.height = 0
-        self.nonce = 0
-
-
 def iter_era_blocks(
     start_year: float = 2015.0,
     end_year: float = 2017.0,
@@ -222,8 +198,6 @@ def iter_era_blocks(
     txs_per_block: int = 120,
     seed: int = 1_2016,
     switch_year: float = NORM_SWITCH_YEAR,
-    _cursor: Optional[_EraCursor] = None,
-    _start_block: int = 0,
 ):
     """Stream era blocks one at a time (the Fig 1 hot path).
 
@@ -231,52 +205,51 @@ def iter_era_blocks(
     :func:`generate_era_blocks` without ever materialising the history:
     consumers that fold each block into an accumulator (per-block PPE,
     era CDFs) hold one block at a time instead of two years of chain.
-
-    ``_cursor``/``_start_block`` are the resume hook for the
-    checkpointed wrapper; external callers leave them unset.
     """
-    cursor = _EraCursor(seed) if _cursor is None else _cursor
+    rng = RngStreams(seed).stream("era")
+    builder = TransactionBuilder(namespace=f"era/{seed}")
+    addresses = AddressFactory(namespace=f"era-users/{seed}")
+    prev_hash = GENESIS_HASH
+    nonce = 0
     pre_policy = PriorityPolicy()
     post_policy = FeeRatePolicy(package_selection=False)
     months = int(round((end_year - start_year) * 12))
-    total_blocks = months * blocks_per_month
-    for number in range(_start_block, total_blocks):
-        month = number // blocks_per_month
+    for height in range(months * blocks_per_month):
+        month = height // blocks_per_month
         year = start_year + month / 12.0
         policy: OrderingPolicy = pre_policy if year < switch_year else post_policy
         entries = []
         for _ in range(txs_per_block):
-            vsize = int(cursor.rng.integers(150, 2000))
-            rate = float(cursor.rng.lognormal(np.log(20.0), 1.0))
-            cursor.nonce += 1
-            tx = cursor.builder.build(
-                to_address=cursor.addresses.next(),
-                value=int(cursor.rng.integers(10**4, 10**9)),
+            vsize = int(rng.integers(150, 2000))
+            rate = float(rng.lognormal(np.log(20.0), 1.0))
+            nonce += 1
+            tx = builder.build(
+                to_address=addresses.next(),
+                value=int(rng.integers(10**4, 10**9)),
                 fee=max(int(rate * vsize), 1),
                 vsize=vsize,
-                nonce=cursor.nonce,
+                nonce=nonce,
             )
             entries.append(MempoolEntry(tx=tx, arrival_time=0.0))
         template = policy.build(entries, max_vsize=MAX_BLOCK_VSIZE, reserved_vsize=200)
-        timestamp = (year - 2009.0) * 365.25 * 86400.0 + cursor.height
+        timestamp = (year - 2009.0) * 365.25 * 86400.0 + height
         coinbase = make_coinbase(
-            reward_address=cursor.addresses.next(),
+            reward_address=addresses.next(),
             value=coinbase_value(
                 block_subsidy(_height_for_year(int(year))), template.total_fee
             ),
             marker="/era/",
-            height=cursor.height,
+            height=height,
             vsize=200,
         )
         block = build_block(
-            height=cursor.height,
-            prev_hash=cursor.prev_hash,
+            height=height,
+            prev_hash=prev_hash,
             timestamp=timestamp,
             coinbase=coinbase,
             transactions=template.transactions,
         )
-        cursor.prev_hash = block.block_hash
-        cursor.height += 1
+        prev_hash = block.block_hash
         yield EraBlock(year=year, block=block)
 
 
@@ -287,7 +260,6 @@ def generate_era_blocks(
     txs_per_block: int = 120,
     seed: int = 1_2016,
     switch_year: float = NORM_SWITCH_YEAR,
-    checkpoint: Optional["CheckpointConfig"] = None,
 ) -> list[EraBlock]:
     """Blocks mined under the era-appropriate ordering norm.
 
@@ -296,113 +268,19 @@ def generate_era_blocks(
     Each block draws a fresh synthetic mempool so PPE reflects ordering
     policy, not workload idiosyncrasies.
 
-    ``checkpoint`` makes the generator crash-tolerant: the RNG stream,
-    txid/address counters, chain state and completed blocks persist
-    every ``checkpoint.every_blocks`` blocks, and an existing
-    checkpoint resumes mid-history with output identical to an
-    uninterrupted run (tests/test_checkpoint.py).
-
-    The generation itself lives in :func:`iter_era_blocks`; without a
-    checkpoint this is just ``list(iter_era_blocks(...))``, and
-    streaming consumers should call the iterator directly instead of
-    materialising the history here.
+    This is ``list(iter_era_blocks(...))``; streaming consumers should
+    call the iterator directly instead of materialising the history.
     """
-    if checkpoint is None:
-        return list(
-            iter_era_blocks(
-                start_year=start_year,
-                end_year=end_year,
-                blocks_per_month=blocks_per_month,
-                txs_per_block=txs_per_block,
-                seed=seed,
-                switch_year=switch_year,
-            )
+    return list(
+        iter_era_blocks(
+            start_year=start_year,
+            end_year=end_year,
+            blocks_per_month=blocks_per_month,
+            txs_per_block=txs_per_block,
+            seed=seed,
+            switch_year=switch_year,
         )
-
-    from ..datasets.io import _decode_block, _encode_block
-    from ..faults.checkpoint import (
-        CheckpointError,
-        SimulationInterrupted,
-        load_checkpoint,
-        write_checkpoint,
     )
-
-    cursor = _EraCursor(seed)
-    era_blocks: list[EraBlock] = []
-    start_block = 0
-    fingerprint = (
-        f"era/{seed}/{start_year}/{end_year}/"
-        f"{blocks_per_month}/{txs_per_block}/{switch_year}"
-    )
-    state = load_checkpoint(checkpoint.path)
-    if state is not None:
-        if state.get("fingerprint") != fingerprint:
-            raise CheckpointError(
-                f"checkpoint {checkpoint.path} belongs to a different "
-                "era-history configuration"
-            )
-        try:
-            cursor.streams.load_state_dict(state["streams"])
-            # Counters feed the txid/address digests; restoring them
-            # keeps resumed identifiers identical to an
-            # uninterrupted run.
-            cursor.builder._counter = int(state["builder_counter"])
-            cursor.addresses._counter = int(state["address_counter"])
-            cursor.height = int(state["height"])
-            cursor.nonce = int(state["nonce"])
-            cursor.prev_hash = str(state["prev_hash"])
-            start_block = int(state["next_block"])
-            linking_hash = GENESIS_HASH
-            for year, payload in zip(state["years"], state["blocks"]):
-                block = _decode_block(payload, linking_hash)
-                era_blocks.append(EraBlock(year=float(year), block=block))
-                linking_hash = block.block_hash
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"malformed checkpoint {checkpoint.path}: {exc!r}"
-            ) from exc
-
-    iterator = iter_era_blocks(
-        start_year=start_year,
-        end_year=end_year,
-        blocks_per_month=blocks_per_month,
-        txs_per_block=txs_per_block,
-        seed=seed,
-        switch_year=switch_year,
-        _cursor=cursor,
-        _start_block=start_block,
-    )
-    processed = 0
-    for number, era_block in enumerate(iterator, start=start_block):
-        era_blocks.append(era_block)
-        processed += 1
-        abort = (
-            checkpoint.abort_after_blocks is not None
-            and processed >= checkpoint.abort_after_blocks
-        )
-        if abort or processed % checkpoint.every_blocks == 0:
-            write_checkpoint(
-                checkpoint.path,
-                {
-                    "version": 1,
-                    "fingerprint": fingerprint,
-                    "next_block": number + 1,
-                    "height": cursor.height,
-                    "nonce": cursor.nonce,
-                    "prev_hash": cursor.prev_hash,
-                    "builder_counter": cursor.builder._counter,
-                    "address_counter": cursor.addresses._counter,
-                    "streams": cursor.streams.state_dict(),
-                    "years": [eb.year for eb in era_blocks],
-                    "blocks": [_encode_block(eb.block) for eb in era_blocks],
-                },
-            )
-        if abort:
-            raise SimulationInterrupted(
-                f"aborted after {processed} era blocks "
-                f"(checkpoint at {checkpoint.path})"
-            )
-    return era_blocks
 
 
 def split_by_switch(

@@ -45,28 +45,3 @@ class RngStreams:
         """A brand-new generator for ``name`` (not cached)."""
         return np.random.default_rng(derive_seed(self.root_seed, name))
 
-    # ------------------------------------------------------------------
-    # Checkpoint support
-    # ------------------------------------------------------------------
-    def state_dict(self) -> dict:
-        """JSON-able snapshot of every cached stream's bit-generator state.
-
-        Only cached (i.e. already-consumed) streams appear; ``fresh``
-        generators are derived purely from the root seed and need no
-        state.  Consumed by the checkpoint/resume machinery in
-        :mod:`repro.faults.checkpoint`.
-        """
-        return {
-            name: self._streams[name].bit_generator.state
-            for name in sorted(self._streams)
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Restore stream states *in place*.
-
-        Generators already handed out keep their identity — closures
-        holding a stream reference (e.g. policy jitter sources) resume
-        from the restored state without rewiring.
-        """
-        for name, generator_state in state.items():
-            self.stream(name).bit_generator.state = generator_state

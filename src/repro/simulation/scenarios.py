@@ -74,7 +74,6 @@ from .workload import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults.checkpoint import CheckpointConfig
     from ..faults.schedule import FaultSchedule
 
 #: Pools whose nodes accept sub-threshold transactions (§4.2.3 found
@@ -118,23 +117,12 @@ class Scenario:
     #: applied as a stale-race overlay before substrate dispatch, so
     #: both substrates consume the identical merged mask.
     attacks: list[SelfishMiningAttack] = field(default_factory=list)
-    #: The RNG registry the builder wired policy jitter from, captured
-    #: so checkpoint/resume can persist those streams too.
-    policy_streams: Optional[RngStreams] = None
 
-    def run(
-        self,
-        checkpoint: Optional["CheckpointConfig"] = None,
-        *,
-        scalar: bool = False,
-    ) -> SimulationResult:
+    def run(self, *, scalar: bool = False) -> SimulationResult:
         """Generate the workload and simulate to a curated dataset.
 
         ``scalar`` produces blocks with the engine's per-tx reference
         loop instead of the fast path (see :meth:`SimulationEngine.run`).
-        ``checkpoint`` enables periodic crash-tolerant checkpoints (and
-        resume from an existing one); the builder's policy-jitter
-        streams are persisted alongside the engine's own.
         """
         import numpy as np
 
@@ -163,12 +151,7 @@ class Scenario:
             faults=self.faults,
             attacks=self.attacks,
         )
-        if checkpoint is not None and self.policy_streams is not None:
-            if self.policy_streams not in checkpoint.extra_streams:
-                checkpoint.extra_streams = tuple(checkpoint.extra_streams) + (
-                    self.policy_streams,
-                )
-        result = engine.run(plan, checkpoint=checkpoint, scalar=scalar)
+        result = engine.run(plan, scalar=scalar)
         injections = self.workload_config.injections
         for dataset in result.datasets_by_observer.values():
             dataset.metadata["scenario"] = self.name
@@ -298,7 +281,6 @@ def dataset_a_scenario(
         observers=observers,
         workload_config=workload,
         faults=faults,
-        policy_streams=streams,
     )
 
 
@@ -345,7 +327,6 @@ def dataset_b_scenario(
         observers=observers,
         workload_config=workload,
         faults=faults,
-        policy_streams=streams,
     )
 
 
@@ -429,7 +410,6 @@ def dataset_c_scenario(
         workload_config=workload,
         services=[service],
         faults=faults,
-        policy_streams=streams,
     )
 
 
@@ -461,7 +441,6 @@ def honest_scenario(
         observers=observers,
         workload_config=workload,
         faults=faults,
-        policy_streams=streams,
     )
 
 
@@ -595,7 +574,6 @@ def adversary_scenario(
         workload_config=workload,
         faults=faults,
         attacks=attacks,
-        policy_streams=streams,
     )
 
 

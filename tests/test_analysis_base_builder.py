@@ -159,7 +159,7 @@ class TestEventedHelpers:
     def test_run_evented_scenario_convenience(self):
         from repro.chain.transaction import TransactionBuilder
         from repro.mining.pool import MiningPool
-        from repro.simulation.evented import run_evented_scenario
+        from repro.reference.evented import run_evented_scenario
         from repro.simulation.workload import PlannedTx
 
         builder = TransactionBuilder("evented-conv")
@@ -179,7 +179,7 @@ class TestEventedHelpers:
         assert committed > 10
 
     def test_evented_requires_pools(self):
-        from repro.simulation.evented import EventedConfig, EventedSimulation
+        from repro.reference.evented import EventedConfig, EventedSimulation
         from repro.simulation.rng import RngStreams
 
         with pytest.raises(ValueError):

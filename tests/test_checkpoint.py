@@ -1,194 +1,114 @@
-"""Checkpoint/resume: interrupted runs must equal uninterrupted ones."""
+"""The WAL checkpoint file contract, driven through compact/recover.
+
+``BlockJournal.compact`` writes the checkpoint atomically (temp file,
+fsync, rename, directory fsync) and ``BlockJournal.recover`` reads it
+back.  A missing checkpoint recovers to an empty history; any file
+that is present but unreadable raises :class:`WalCorruptionError`
+rather than loading a partial history.
+"""
 
 import gzip
 import json
 
 import pytest
 
-from repro.datasets.io import save_dataset
-from repro.faults import (
-    CheckpointConfig,
-    CheckpointError,
-    SimulationInterrupted,
-    load_checkpoint,
-    write_checkpoint,
-)
-from repro.simulation.history import generate_era_blocks
-from repro.simulation.scenarios import honest_scenario
+from repro.core.audit import stream_blocks
+from repro.service.wal import BlockJournal, WalCorruptionError, encode_entry
+
+
+@pytest.fixture(scope="module")
+def wal_entries(small_dataset_a):
+    feed = list(stream_blocks(small_dataset_a))[:12]
+    return [encode_entry(h, p, b) for h, p, b in feed]
+
+
+def _compacted(tmp_path, entries):
+    journal = BlockJournal(tmp_path)
+    journal.compact(entries)
+    journal.close()
+    return journal
 
 
 class TestCheckpointIO:
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "state.ckpt.gz"
-        payload = {"version": 1, "blocks": [1, 2, 3], "name": "x"}
-        write_checkpoint(path, payload)
-        assert load_checkpoint(path) == payload
+    def test_roundtrip(self, tmp_path, wal_entries):
+        _compacted(tmp_path, wal_entries)
+        assert BlockJournal(tmp_path).recover() == wal_entries
 
     def test_missing_file_returns_none(self, tmp_path):
-        assert load_checkpoint(tmp_path / "nope.ckpt.gz") is None
+        journal = BlockJournal(tmp_path)
+        assert not journal.checkpoint_path.exists()
+        assert journal.recover() == []
 
-    def test_write_leaves_no_temp_file(self, tmp_path):
-        path = tmp_path / "state.ckpt.gz"
-        write_checkpoint(path, {"a": 1})
-        leftovers = [p for p in tmp_path.iterdir() if p != path]
-        assert leftovers == []
+    def test_write_leaves_no_temp_file(self, tmp_path, wal_entries):
+        journal = _compacted(tmp_path, wal_entries)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            [journal.checkpoint_path.name, journal.wal_path.name]
+        )
 
-    def test_write_replaces_atomically(self, tmp_path):
-        path = tmp_path / "state.ckpt.gz"
-        write_checkpoint(path, {"generation": 1})
-        write_checkpoint(path, {"generation": 2})
-        assert load_checkpoint(path) == {"generation": 2}
+    def test_write_replaces_atomically(self, tmp_path, wal_entries):
+        journal = BlockJournal(tmp_path)
+        journal.compact(wal_entries[:4])
+        journal.compact(wal_entries)
+        journal.close()
+        assert BlockJournal(tmp_path).recover() == wal_entries
 
-    def test_truncated_checkpoint_raises(self, tmp_path):
-        path = tmp_path / "state.ckpt.gz"
-        write_checkpoint(path, {"a": list(range(1000))})
-        path.write_bytes(path.read_bytes()[:40])
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+    def test_truncated_checkpoint_raises(self, tmp_path, wal_entries):
+        journal = _compacted(tmp_path, wal_entries)
+        data = journal.checkpoint_path.read_bytes()
+        journal.checkpoint_path.write_bytes(data[:40])
+        with pytest.raises(WalCorruptionError, match="unreadable"):
+            BlockJournal(tmp_path).recover()
 
     def test_non_gzip_garbage_raises(self, tmp_path):
-        path = tmp_path / "state.ckpt.gz"
-        path.write_bytes(b"this is not a checkpoint")
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        journal = BlockJournal(tmp_path)
+        journal.checkpoint_path.write_bytes(b"this is not a checkpoint")
+        with pytest.raises(WalCorruptionError, match="unreadable"):
+            journal.recover()
 
     def test_non_dict_payload_raises(self, tmp_path):
-        path = tmp_path / "state.ckpt.gz"
-        with gzip.open(path, "wt", encoding="utf-8") as handle:
-            json.dump([1, 2, 3], handle)
-        with pytest.raises(CheckpointError):
-            load_checkpoint(path)
+        journal = BlockJournal(tmp_path)
+        with gzip.open(journal.checkpoint_path, "wt", encoding="utf-8") as f:
+            json.dump([1, 2, 3], f)
+        with pytest.raises(WalCorruptionError, match="not a JSON object"):
+            journal.recover()
 
-    def test_fsync_write_roundtrips_and_is_atomic(self, tmp_path):
-        path = tmp_path / "state.ckpt.gz"
-        payload = {"version": 1, "entries": list(range(500))}
-        write_checkpoint(path, payload, fsync=True)
-        assert load_checkpoint(path) == payload
-        assert [p for p in tmp_path.iterdir()] == [path]
+    def test_fsync_write_roundtrips_and_is_atomic(
+        self, tmp_path, wal_entries
+    ):
+        """Compaction fsyncs; the checkpoint alone recovers every entry."""
+        journal = _compacted(tmp_path, wal_entries)
+        journal.wal_path.unlink()
+        assert [p for p in tmp_path.iterdir()] == [journal.checkpoint_path]
+        assert BlockJournal(tmp_path).recover() == wal_entries
 
-    def test_crash_mid_write_preserves_previous_checkpoint(self, tmp_path):
+    def test_crash_mid_write_preserves_previous_checkpoint(
+        self, tmp_path, wal_entries
+    ):
         """A torn ``.tmp`` from a mid-write crash must not be loaded.
 
         The crash leaves the *previous* checkpoint untouched and the
-        half-written bytes under the temp name; a later writer simply
-        replaces the leftovers.
+        half-written bytes under the temp name; the next compaction
+        simply replaces the leftovers.
         """
-        path = tmp_path / "state.ckpt.gz"
-        write_checkpoint(path, {"generation": 1})
-        # Simulate dying halfway through the next write: garbage .tmp.
-        tmp = path.with_name(path.name + ".tmp")
+        journal = BlockJournal(tmp_path)
+        journal.compact(wal_entries[:4])
+        tmp = journal.checkpoint_path.with_name(
+            journal.checkpoint_path.name + ".tmp"
+        )
         tmp.write_bytes(b"\x1f\x8b half a gzip stream")
-        assert load_checkpoint(path) == {"generation": 1}
-        write_checkpoint(path, {"generation": 2}, fsync=True)
-        assert load_checkpoint(path) == {"generation": 2}
+        assert BlockJournal(tmp_path).recover() == wal_entries[:4]
+        journal.compact(wal_entries)
+        journal.close()
+        assert BlockJournal(tmp_path).recover() == wal_entries
         assert not tmp.exists()
 
-    def test_truncated_checkpoint_rejected_not_half_loaded(self, tmp_path):
-        """Every truncation point fails loudly — never a partial dict."""
-        path = tmp_path / "state.ckpt.gz"
-        payload = {"blocks": list(range(2000)), "rng": {"state": 12345}}
-        write_checkpoint(path, payload)
-        data = path.read_bytes()
+    def test_truncated_checkpoint_rejected_not_half_loaded(
+        self, tmp_path, wal_entries
+    ):
+        """Every truncation point fails loudly — never a partial list."""
+        journal = _compacted(tmp_path, wal_entries)
+        data = journal.checkpoint_path.read_bytes()
         for cut in (1, 10, len(data) // 2, len(data) - 1):
-            path.write_bytes(data[:cut])
-            with pytest.raises(CheckpointError):
-                load_checkpoint(path)
-
-
-class TestCheckpointConfig:
-    def test_validates_every_blocks(self, tmp_path):
-        with pytest.raises(ValueError):
-            CheckpointConfig(path=tmp_path / "c.gz", every_blocks=0)
-
-    def test_validates_abort_after_blocks(self, tmp_path):
-        with pytest.raises(ValueError):
-            CheckpointConfig(path=tmp_path / "c.gz", abort_after_blocks=0)
-
-
-def _dataset_bytes(dataset, path):
-    return save_dataset(dataset, path).read_bytes()
-
-
-class TestEngineResume:
-    def test_interrupted_resume_matches_uninterrupted(self, tmp_path):
-        baseline = honest_scenario(seed=13, blocks=40).run().dataset
-
-        ckpt = tmp_path / "engine.ckpt.gz"
-        with pytest.raises(SimulationInterrupted):
-            honest_scenario(seed=13, blocks=40).run(
-                checkpoint=CheckpointConfig(
-                    path=ckpt, every_blocks=10, abort_after_blocks=15
-                )
-            )
-        assert ckpt.exists()
-
-        resumed = (
-            honest_scenario(seed=13, blocks=40)
-            .run(checkpoint=CheckpointConfig(path=ckpt, every_blocks=10))
-            .dataset
-        )
-        assert _dataset_bytes(resumed, tmp_path / "resumed.json.gz") == (
-            _dataset_bytes(baseline, tmp_path / "baseline.json.gz")
-        )
-
-    def test_wrong_scenario_fingerprint_rejected(self, tmp_path):
-        ckpt = tmp_path / "engine.ckpt.gz"
-        with pytest.raises(SimulationInterrupted):
-            honest_scenario(seed=13, blocks=40).run(
-                checkpoint=CheckpointConfig(
-                    path=ckpt, every_blocks=10, abort_after_blocks=15
-                )
-            )
-        with pytest.raises(CheckpointError):
-            honest_scenario(seed=14, blocks=40).run(
-                checkpoint=CheckpointConfig(path=ckpt, every_blocks=10)
-            )
-
-
-class TestHistoryResume:
-    KWARGS = dict(
-        start_year=2015.0,
-        end_year=2016.0,
-        blocks_per_month=6,
-        txs_per_block=30,
-        seed=5,
-    )
-
-    def test_interrupted_resume_matches_uninterrupted(self, tmp_path):
-        baseline = generate_era_blocks(**self.KWARGS)
-
-        ckpt = tmp_path / "history.ckpt.gz"
-        with pytest.raises(SimulationInterrupted):
-            generate_era_blocks(
-                **self.KWARGS,
-                checkpoint=CheckpointConfig(
-                    path=ckpt, every_blocks=8, abort_after_blocks=20
-                ),
-            )
-        assert ckpt.exists()
-
-        resumed = generate_era_blocks(
-            **self.KWARGS,
-            checkpoint=CheckpointConfig(path=ckpt, every_blocks=8),
-        )
-        assert len(resumed) == len(baseline)
-        assert [e.year for e in resumed] == [e.year for e in baseline]
-        assert [e.block.block_hash for e in resumed] == [
-            e.block.block_hash for e in baseline
-        ]
-        assert resumed == baseline
-
-    def test_wrong_parameters_fingerprint_rejected(self, tmp_path):
-        ckpt = tmp_path / "history.ckpt.gz"
-        with pytest.raises(SimulationInterrupted):
-            generate_era_blocks(
-                **self.KWARGS,
-                checkpoint=CheckpointConfig(
-                    path=ckpt, every_blocks=8, abort_after_blocks=20
-                ),
-            )
-        other = dict(self.KWARGS, seed=6)
-        with pytest.raises(CheckpointError):
-            generate_era_blocks(
-                **other, checkpoint=CheckpointConfig(path=ckpt, every_blocks=8)
-            )
+            journal.checkpoint_path.write_bytes(data[:cut])
+            with pytest.raises(WalCorruptionError):
+                BlockJournal(tmp_path).recover()

@@ -24,7 +24,6 @@ import pytest
 
 from repro import obs
 from repro.datasets.io import dataset_to_dict
-from repro.faults import CheckpointConfig
 from repro.faults.schedule import FaultSchedule
 from repro.simulation.scenarios import (
     ADVERSARY_KINDS,
@@ -175,11 +174,10 @@ def test_noisy_policy_runs_are_seed_stable_across_substrates():
     assert runs[0] == runs[2], "substrates diverged under one seed"
 
 
-def test_scalar_oracle_does_not_take_the_fast_path(tmp_path):
+def test_scalar_oracle_does_not_take_the_fast_path():
     """Engine dispatch: only a default run takes the fast path.
 
-    ``scalar=True`` selects the per-tx oracle loop, and so does a
-    checkpoint, because only the per-tx loop can resume.
+    ``scalar=True`` selects the per-tx oracle loop.
     """
 
     def pools_compiled(**run_kwargs):
@@ -188,6 +186,4 @@ def test_scalar_oracle_does_not_take_the_fast_path(tmp_path):
             return obs.snapshot()["counters"].get("engine.fast.pools_compiled")
 
     assert pools_compiled(scalar=True) is None
-    checkpoint = CheckpointConfig(path=tmp_path / "ckpt.gz", every_blocks=10)
-    assert pools_compiled(checkpoint=checkpoint) is None
     assert pools_compiled() > 0

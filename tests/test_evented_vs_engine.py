@@ -28,7 +28,7 @@ from repro.simulation.engine import (
     ObserverConfig,
     SimulationEngine,
 )
-from repro.simulation.evented import EventedConfig, EventedSimulation
+from repro.reference.evented import EventedConfig, EventedSimulation
 from repro.simulation.rng import RngStreams
 from repro.simulation.workload import (
     DemandModel,

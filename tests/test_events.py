@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.network.events import EventScheduler
+from repro.reference.events import EventScheduler
 
 
 class TestScheduling:

@@ -29,7 +29,7 @@ from repro.simulation.engine import (
     SimulationEngine,
     generate_block_schedule,
 )
-from repro.simulation.evented import EventedConfig, EventedSimulation
+from repro.reference.evented import EventedConfig, EventedSimulation
 from repro.simulation.rng import RngStreams
 from repro.simulation.scenarios import dataset_c_scenario
 from repro.simulation.workload import (

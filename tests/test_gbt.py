@@ -3,7 +3,7 @@
 import pytest
 
 from repro.mempool.feerate import fee_rate_rank
-from repro.mempool.mempool import Mempool, MempoolEntry
+from repro.mempool.mempool import MempoolEntry
 from repro.mining.gbt import (
     TemplateBudgetError,
     ancestor_package_template,
@@ -13,6 +13,7 @@ from repro.mining.gbt import (
     repair_topological_order,
     template_revenue,
 )
+from repro.reference.mempool import Mempool
 
 from conftest import TxFactory
 

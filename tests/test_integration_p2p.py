@@ -11,10 +11,10 @@ import pytest
 
 from repro.chain.blockchain import Blockchain
 from repro.mining.pool import MiningPool
-from repro.network.events import EventScheduler
-from repro.network.latency import ConstantLatency
-from repro.network.node import FullNode, NodeConfig, make_observer
-from repro.network.p2p import build_network
+from repro.reference.events import EventScheduler
+from repro.reference.latency import ConstantLatency
+from repro.reference.node import FullNode, NodeConfig, make_observer
+from repro.reference.p2p import build_network
 
 from conftest import TxFactory
 

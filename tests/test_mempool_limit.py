@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mempool.mempool import Mempool, RejectionReason
+from repro.reference.mempool import Mempool, RejectionReason
 
 from conftest import TxFactory
 

@@ -19,11 +19,9 @@ buggy subclass must trip :class:`InvariantViolation`.
 import pytest
 
 from repro.chain.transaction import TransactionBuilder
-from repro.mempool.mempool import Mempool, RejectionReason
-from repro.obs.invariants import (
-    InvariantViolation,
-    check_engine_block_state,
-)
+from repro.obs.invariants import InvariantViolation
+from repro.reference.mempool import Mempool, RejectionReason
+from repro.reference.per_tx import check_engine_block_state
 
 from conftest import TxFactory
 

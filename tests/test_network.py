@@ -3,15 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.network.events import EventScheduler
-from repro.network.latency import (
+from repro.reference.events import EventScheduler
+from repro.reference.latency import (
     BlockRelayLatency,
     ConstantLatency,
     LogNormalLatency,
     SlowPeerLatency,
 )
-from repro.network.node import FullNode, NodeConfig, make_observer
-from repro.network.p2p import build_network
+from repro.reference.node import FullNode, NodeConfig, make_observer
+from repro.reference.p2p import build_network
 
 from conftest import TxFactory, make_test_block
 

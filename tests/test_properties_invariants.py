@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.chain.transaction import TransactionBuilder
-from repro.mempool.mempool import Mempool
+from repro.reference.mempool import Mempool
 
 
 def _random_op_sequence(pool, builder, rng, operations):

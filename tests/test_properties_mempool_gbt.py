@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mempool.mempool import Mempool, MempoolEntry
+from repro.mempool.mempool import MempoolEntry
 from repro.mining.gbt import (
     ancestor_package_template,
     greedy_feerate_template,
     is_topologically_valid,
     repair_topological_order,
 )
+from repro.reference.mempool import Mempool
 
 from conftest import TxFactory
 

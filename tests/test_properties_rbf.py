@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.chain.transaction import TransactionBuilder
-from repro.mempool.mempool import Mempool
+from repro.reference.mempool import Mempool
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from repro.chain.blockchain import Blockchain, ChainValidationError
 from repro.chain.transaction import TransactionBuilder
 from repro.datasets.records import LABEL_RBF_BUMP, LABEL_RBF_ORIGINAL
-from repro.mempool.mempool import Mempool, RejectionReason
+from repro.reference.mempool import Mempool, RejectionReason
 
 from conftest import make_test_block
 

@@ -18,14 +18,13 @@ from repro.core.congestion import (
 )
 from repro.faults import FaultSchedule, degrade_dataset, spread_downtime
 from repro.faults.quality import assess_quality, detect_gaps
-from repro.mempool.mempool import Mempool
 from repro.mempool.snapshots import (
     CONGESTION_BINS,
     MempoolSnapshot,
-    SnapshotRecorder,
     SnapshotStore,
     SnapshotTx,
 )
+from repro.reference.mempool import Mempool, SnapshotRecorder
 from repro.simulation.scenarios import honest_scenario
 
 from conftest import TxFactory

@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.mempool.mempool import Mempool
 from repro.mempool.snapshots import (
     CONGESTION_BINS,
     MempoolSnapshot,
     SizeSeries,
-    SnapshotRecorder,
     SnapshotStore,
     SnapshotTx,
     SnapshotTxInterner,
     congestion_bin,
     merge_stores,
 )
+from repro.reference.mempool import Mempool, SnapshotRecorder
 
 from conftest import TxFactory
 
