@@ -35,6 +35,7 @@ from .analysis.experiments import ALL_RUNNERS, EXPERIMENTS, EXTENSIONS
 from .bench import SUITES
 from .datasets.builder import build_dataset_a, build_dataset_b, build_dataset_c
 from .datasets.cache import DEFAULT_CACHE_DIR
+from .datasets.columnar import columnar_sidecar
 from .datasets.io import atomic_write_text, save_dataset
 
 
@@ -292,7 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=str,
         required=True,
         help="saved dataset file (repro-audit dataset …) supplying the "
-        "observer context; its chain is ignored — blocks must be ingested",
+        "observer context: a .json.gz, read through its columnar twin "
+        "(same name, .npz) when that is present and intact, or the .npz "
+        "itself; its chain is ignored — blocks must be ingested",
     )
     serve_parser.add_argument(
         "--wal-dir",
@@ -504,6 +507,10 @@ def _dataset_command(args: argparse.Namespace) -> int:
         "C": build_dataset_c,
     }
     dataset = builders[args.which](scale=args.scale)
+    # A columnar twin left by an older export would be loaded in place
+    # of the new gzip (`load_dataset_file`), so it goes before the gzip
+    # is replaced.
+    columnar_sidecar(args.out).unlink(missing_ok=True)
     path = save_dataset(dataset, args.out)
     summary = dataset.summary()
     print(f"dataset {args.which} written to {path}")

@@ -20,10 +20,10 @@ from ..simulation.scenarios import (
     dataset_c_scenario,
 )
 from .cache import CacheKey, DatasetCache, write_entry
-from .columnar import columnar_sidecar, load_columnar_if_exists
+from .columnar import load_dataset_file
 from .dataset import Dataset
 from .gcpolicy import gc_paused
-from .io import DatasetCorruptionError, dataset_path, load_if_exists
+from .io import dataset_path
 
 _MEMORY_CACHE: dict[tuple[str, int, float], Dataset] = {}
 
@@ -78,16 +78,7 @@ def _load_or_build(
     if cache_dir is not None:
         path = dataset_path(cache_dir, scenario.name, scenario.seed)
         if path.exists():
-            # Prefer the memory-mapped sidecar; a torn one falls back
-            # to the gzip artifact (the completion marker).
-            try:
-                cached = load_columnar_if_exists(columnar_sidecar(path))
-            except DatasetCorruptionError:
-                cached = None
-            if cached is None:
-                cached = load_if_exists(path)
-            if cached is not None:
-                return cached
+            return load_dataset_file(path)
     dataset = scenario.run().dataset
     if path is not None:
         write_entry(dataset, path)

@@ -81,7 +81,7 @@ from ..mempool.snapshots import (
 )
 from .dataset import Dataset
 from .gcpolicy import gc_paused
-from .io import FORMAT_VERSION, DatasetCorruptionError
+from .io import FORMAT_VERSION, DatasetCorruptionError, load_dataset
 from .records import TxRecord, make_label
 
 #: Version of the columnar layout.  Part of every dataset-cache key
@@ -1152,9 +1152,36 @@ class ColumnarDataset(Dataset):
         return index
 
 
-def load_columnar_if_exists(path: Union[str, Path]) -> Optional[Dataset]:
-    """Load a columnar dataset if the file exists, else None."""
+def load_dataset_file(
+    path: Union[str, Path], parts: Iterable[str] = ()
+) -> Dataset:
+    """Load a saved dataset, through its columnar twin when that is intact.
+
+    ``path`` is a gzip-JSON interchange file or a columnar ``.npz``.  A
+    gzip path that is absent raises :class:`FileNotFoundError`, twin or
+    no twin; when its :func:`columnar_sidecar` exists, the twin loads
+    through :func:`load_columnar` (CRC-checked) and the gzip is parsed
+    only if the twin is corrupt or of another format version.
+    ``parts`` names graph parts (``"snapshots"``, ``"tx_records"``,
+    ``"chain"``) to build before returning, so a twin whose decode
+    cross-checks fail also falls back to the gzip.  An ``.npz`` path
+    loads directly; its errors propagate, there being nothing to fall
+    back to.
+    """
     path = Path(path)
-    if not path.exists():
-        return None
-    return load_columnar(path)
+    if path.name.endswith(COLUMNAR_SUFFIX):
+        return _with_parts(load_columnar(path), parts)
+    sidecar = columnar_sidecar(path)
+    if path.exists() and sidecar.exists():
+        try:
+            return _with_parts(load_columnar(sidecar), parts)
+        except DatasetCorruptionError:
+            obs.counter("dataset.twin_rejected")
+    return load_dataset(path)
+
+
+def _with_parts(dataset: Dataset, parts: Iterable[str]) -> Dataset:
+    """``dataset`` after building each named graph part."""
+    for part in parts:
+        getattr(dataset, part)
+    return dataset

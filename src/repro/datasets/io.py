@@ -314,10 +314,3 @@ def dataset_path(directory: Union[str, Path], name: str, seed: int) -> Path:
     """Canonical cache path for a (scenario, seed) pair."""
     return Path(directory) / f"{name}-seed{seed}.json.gz"
 
-
-def load_if_exists(path: Union[str, Path]) -> Optional[Dataset]:
-    """Load a dataset if the file exists, else None."""
-    path = Path(path)
-    if not path.exists():
-        return None
-    return load_dataset(path)

@@ -42,9 +42,9 @@ from .. import obs
 from ..core.audit import Auditor, StreamingAuditor
 from ..core.ppe import summarize_ppe
 from ..core.ppe import predictions_for
+from ..datasets.columnar import load_dataset_file
 from ..datasets.dataset import Dataset
 from ..datasets.gcpolicy import gc_paused
-from ..datasets.io import load_dataset
 from .wal import BlockJournal, decode_entry_block, encode_entry
 
 #: Suggested client wait when the ingest queue is full, in seconds.
@@ -221,14 +221,20 @@ class AuditService:
     def from_dataset_file(cls, path: Union[str, Path], **kwargs) -> "AuditService":
         """Build from a saved dataset's *observer context*.
 
+        ``path`` is a gzip-JSON dataset or its columnar ``.npz``; a
+        gzip path loads through its intact columnar twin when one sits
+        next to it (:func:`repro.datasets.columnar.load_dataset_file`).
         The file's chain is deliberately ignored — blocks must arrive
-        through ingest, which is what makes replay provable.  The
-        context lives as long as the service, so it is decoded with the
-        collector paused and then frozen (see
-        :mod:`repro.datasets.gcpolicy`).
+        through ingest, which is what makes replay provable — so a twin
+        load never decodes it.  The context (snapshots and tx records)
+        lives as long as the service, so it is decoded here, with the
+        collector paused, and then frozen (see
+        :mod:`repro.datasets.gcpolicy`); a twin whose decode fails
+        falls back to the gzip.  A traced run charges this to the
+        ``service.load`` span.
         """
-        with gc_paused(freeze=True):
-            dataset = load_dataset(path)
+        with obs.span("service.load"), gc_paused(freeze=True):
+            dataset = load_dataset_file(path, parts=("snapshots", "tx_records"))
         return cls(dataset, **kwargs)
 
     # ------------------------------------------------------------------

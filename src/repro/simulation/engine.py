@@ -55,6 +55,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..mining.adversaries import SelfishMiningAttack
 
 
+class UnsupportedFaultError(ValueError):
+    """A fault schedule asks for a fault kind the engine does not apply.
+
+    Node crashes and per-hop gossip loss exist only on the evented
+    reference substrate; the engine refuses them rather than record, in
+    ``metadata['faults']``, faults its output does not show.
+    """
+
+
 @dataclass
 class ObserverConfig:
     """A measurement node, as the paper ran two of."""
@@ -153,6 +162,11 @@ class SimulationEngine:
         # tests/test_seed_robustness.py).  Fault draws come from their
         # own RNG root, never from `streams`.
         self.faults = faults if faults is not None and not faults.is_null else None
+        if faults is not None and (faults.crashes or faults.per_hop_loss_rate):
+            raise UnsupportedFaultError(
+                "the simulation engine applies neither node crashes nor "
+                "per-hop loss; only the evented reference substrate does"
+            )
         # Pool-level mining-race attacks (selfish mining / withholding).
         # Their race outcomes come from each attack's own seed, so an
         # attack that never engages is byte-identical to no attack.

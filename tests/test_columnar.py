@@ -33,9 +33,10 @@ from repro.datasets.cache import CacheKey, DatasetCache
 from repro.datasets.columnar import (
     COLUMNAR_FORMAT_VERSION,
     ColumnStore,
+    ColumnarDataset,
     columnar_sidecar,
     load_columnar,
-    load_columnar_if_exists,
+    load_dataset_file,
     open_columns,
     save_columnar,
 )
@@ -140,8 +141,14 @@ class TestStore:
         assert store.matches(small)
         assert not store.matches(small_dataset_a)
 
-    def test_load_if_exists_absent_returns_none(self, tmp_path):
-        assert load_columnar_if_exists(tmp_path / "missing.npz") is None
+    def test_load_dataset_file_absent_raises(self, tmp_path, small):
+        with pytest.raises(FileNotFoundError):
+            load_dataset_file(tmp_path / "missing.npz")
+        # A twin without its gzip does not stand in for it.
+        gz = tmp_path / "orphan.json.gz"
+        save_columnar(small, columnar_sidecar(gz))
+        with pytest.raises(FileNotFoundError):
+            load_dataset_file(gz)
 
     def test_sidecar_path_mapping(self, tmp_path):
         gz = tmp_path / "dataset-C-v4-abcd.json.gz"
@@ -191,21 +198,7 @@ class TestCorruptionTaxonomy:
     def test_flipped_manifest_version_is_corruption(self, tmp_path, small):
         """A sidecar from a future format must refuse to load."""
         path = save_columnar(small, tmp_path / "small.npz")
-        raw = path.read_bytes()
-        token = json.dumps(COLUMNAR_FORMAT_VERSION).encode()
-        patched = raw.replace(
-            b'"columnar_version": ' + token,
-            b'"columnar_version": ' + str(COLUMNAR_FORMAT_VERSION + 9).encode(),
-            1,
-        )
-        if patched == raw:  # compact separators in manifest
-            patched = raw.replace(
-                b'"columnar_version":' + token,
-                b'"columnar_version":'
-                + str(COLUMNAR_FORMAT_VERSION + 9).encode(),
-                1,
-            )
-        path.write_bytes(patched)
+        flip_columnar_version(path)
         with pytest.raises(DatasetCorruptionError) as excinfo:
             load_columnar(path)
         assert "version" in str(excinfo.value)
@@ -213,19 +206,7 @@ class TestCorruptionTaxonomy:
     def test_decode_cross_checks_txids(self, tmp_path, small):
         """Silent payload corruption is caught by txid recomputation."""
         path = save_columnar(small, tmp_path / "small.npz")
-        raw = bytearray(path.read_bytes())
-        # Flip a byte inside an output-value column's data region: the
-        # store maps fine but the decoded transaction no longer hashes
-        # to its stored txid (txids commit to outputs, not fees).
-        store = open_columns(path)
-        values = store["out_value"]
-        offset = values.offset  # np.memmap exposes its file offset
-        del store, values
-        raw[offset] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        # Re-stamp the CRCs so the load's CRC32 check passes and the
-        # graph build's own cross-check is what catches the flip.
-        _restamp_crcs(path)
+        break_txid_cross_check(path)
         with pytest.raises(DatasetCorruptionError) as excinfo:
             load_columnar(path).chain
         assert "mismatch" in str(excinfo.value)
@@ -244,13 +225,106 @@ class TestCorruptionTaxonomy:
         del store, timestamps
         raw[offset + 6] ^= 0xFF
         path.write_bytes(bytes(raw))
-        _restamp_crcs(path)
+        restamp_crcs(path)
         with pytest.raises(DatasetCorruptionError) as excinfo:
             load_columnar(path).chain
         assert "block hash mismatch" in str(excinfo.value)
 
 
-def _restamp_crcs(path) -> None:
+def flip_columnar_version(path) -> None:
+    """Stamp a future ``columnar_version`` into a stored manifest."""
+    raw = path.read_bytes()
+    token = json.dumps(COLUMNAR_FORMAT_VERSION).encode()
+    patched = raw.replace(
+        b'"columnar_version": ' + token,
+        b'"columnar_version": ' + str(COLUMNAR_FORMAT_VERSION + 9).encode(),
+        1,
+    )
+    if patched == raw:  # compact separators in manifest
+        patched = raw.replace(
+            b'"columnar_version":' + token,
+            b'"columnar_version":'
+            + str(COLUMNAR_FORMAT_VERSION + 9).encode(),
+            1,
+        )
+    path.write_bytes(patched)
+
+
+def break_txid_cross_check(path) -> None:
+    """Flip a byte inside an output-value column's data region.
+
+    The store maps fine but the decoded transaction no longer hashes to
+    its stored txid (txids commit to outputs, not fees).  The CRCs are
+    re-stamped so the load's CRC32 check passes and the chain decode's
+    own cross-check is what catches the flip.
+    """
+    raw = bytearray(path.read_bytes())
+    store = open_columns(path)
+    offset = store["out_value"].offset  # np.memmap exposes its file offset
+    del store
+    raw[offset] ^= 0xFF
+    path.write_bytes(bytes(raw))
+    restamp_crcs(path)
+
+
+class TestLoadDatasetFile:
+    """The twin-preferring loader behind ``serve`` and the flat builder."""
+
+    @pytest.fixture
+    def pair(self, tmp_path, small):
+        path = save_dataset(small, tmp_path / "small.json.gz")
+        save_columnar(small, columnar_sidecar(path))
+        return path
+
+    def _loads_gzip(self, pair, small, **kwargs):
+        with obs.tracing(reset=True):
+            loaded = load_dataset_file(pair, **kwargs)
+            counters = obs.snapshot()["counters"]
+        assert not isinstance(loaded, ColumnarDataset)
+        assert counters.get("dataset.twin_rejected") == 1
+        assert interchange_bytes(loaded) == interchange_bytes(small)
+
+    def test_intact_twin_loads_without_parsing_the_gzip(
+        self, pair, small, monkeypatch
+    ):
+        def no_gzip(path):
+            raise AssertionError("the gzip was parsed")
+
+        monkeypatch.setattr("repro.datasets.columnar.load_dataset", no_gzip)
+        loaded = load_dataset_file(pair)
+        assert isinstance(loaded, ColumnarDataset)
+        assert loaded.columnar.path == columnar_sidecar(pair)
+        assert interchange_bytes(loaded) == interchange_bytes(small)
+
+    def test_flipped_twin_byte_falls_back_to_the_gzip(self, pair, small):
+        sidecar = columnar_sidecar(pair)
+        raw = bytearray(sidecar.read_bytes())
+        offset = open_columns(sidecar)["rec_fee"].offset
+        raw[offset] ^= 0xFF
+        sidecar.write_bytes(bytes(raw))
+        self._loads_gzip(pair, small)
+
+    def test_other_columnar_version_falls_back_to_the_gzip(self, pair, small):
+        flip_columnar_version(columnar_sidecar(pair))
+        self._loads_gzip(pair, small)
+
+    def test_failed_decode_of_a_named_part_falls_back(self, pair, small):
+        break_txid_cross_check(columnar_sidecar(pair))
+        # Unnamed parts stay lazy: the chain is not decoded at load.
+        assert isinstance(load_dataset_file(pair), ColumnarDataset)
+        self._loads_gzip(pair, small, parts=("chain",))
+
+    def test_npz_path_loads_directly_without_fallback(self, pair, small):
+        sidecar = columnar_sidecar(pair)
+        loaded = load_dataset_file(sidecar)
+        assert isinstance(loaded, ColumnarDataset)
+        assert interchange_bytes(loaded) == interchange_bytes(small)
+        break_txid_cross_check(sidecar)
+        with pytest.raises(DatasetCorruptionError):
+            load_dataset_file(sidecar, parts=("chain",))
+
+
+def restamp_crcs(path) -> None:
     """Rewrite a stored zip so each member's CRC32 matches its bytes."""
     raw = path.read_bytes()
     with zipfile.ZipFile(io.BytesIO(raw)) as archive:

@@ -20,13 +20,20 @@ import pytest
 from repro.core.audit import Auditor
 from repro.core.stattests import DEFAULT_ALPHA
 from repro.datasets.io import dataset_to_dict
-from repro.faults import FaultSchedule, OutageWindow, degrade_dataset, spread_downtime
+from repro.faults import (
+    FaultSchedule,
+    NodeCrash,
+    OutageWindow,
+    degrade_dataset,
+    spread_downtime,
+)
 from repro.mining.pool import DATASET_C_POOLS, make_pools
 from repro.mining.policies import FeeRatePolicy
 from repro.simulation.engine import (
     EngineConfig,
     ObserverConfig,
     SimulationEngine,
+    UnsupportedFaultError,
     generate_block_schedule,
 )
 from repro.reference.evented import EventedConfig, EventedSimulation
@@ -122,6 +129,29 @@ class TestDegraderRefusesChainFaults:
         dataset, _ = clean_run
         with pytest.raises(ValueError, match="chain-side"):
             degrade_dataset(dataset, FaultSchedule(pool_loss_rate=0.1))
+
+
+class TestEngineRefusesEventedOnlyFaults:
+    """The engine applies every fault it accepts; the rest are refused."""
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            FaultSchedule(seed=1, crashes=(NodeCrash("control", 3000.0),)),
+            FaultSchedule(seed=1, per_hop_loss_rate=0.5),
+        ],
+        ids=["crashes", "per_hop_loss_rate"],
+    )
+    def test_unapplied_fault_kind_raises_a_typed_error(self, faults):
+        with pytest.raises(UnsupportedFaultError, match="evented"):
+            SimulationEngine(
+                EngineConfig(duration=600.0),
+                _fresh_pools(),
+                [ObserverConfig(name="observer")],
+                RngStreams(7),
+                faults=faults,
+            )
+        assert issubclass(UnsupportedFaultError, ValueError)
 
 
 class TestStaleBlocksInEngine:

@@ -11,9 +11,9 @@ from repro.datasets.io import (
     dataset_path,
     dataset_to_dict,
     load_dataset,
-    load_if_exists,
     save_dataset,
 )
+from repro.datasets.columnar import load_dataset_file
 
 from test_records_dataset import build_small_dataset
 from conftest import TxFactory
@@ -61,11 +61,14 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             dataset_from_dict(payload)
 
-    def test_load_if_exists(self, txf, tmp_path):
-        assert load_if_exists(tmp_path / "missing.json.gz") is None
+    def test_load_dataset_file_without_a_twin(self, txf, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_dataset_file(tmp_path / "missing.json.gz")
         dataset, *_ = build_small_dataset(txf)
         path = save_dataset(dataset, tmp_path / "ds.json.gz")
-        assert load_if_exists(path) is not None
+        loaded = load_dataset_file(path)
+        assert loaded.columnar is None
+        assert dataset_to_dict(loaded) == dataset_to_dict(dataset)
 
     def test_dataset_path_layout(self, tmp_path):
         path = dataset_path(tmp_path, "dataset-A", 42)

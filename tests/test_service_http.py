@@ -10,10 +10,26 @@ import gc
 import http.client
 import json
 import threading
+from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.audit import Auditor, stream_blocks
+from repro.datasets import columnar
+from repro.datasets.columnar import (
+    columnar_sidecar,
+    load_dataset_file,
+    open_columns,
+    save_columnar,
+)
+from repro.datasets.io import (
+    DatasetCorruptionError,
+    dataset_to_dict,
+    load_dataset,
+    save_dataset,
+)
 from repro.faults import FaultSchedule, degrade_dataset
 from repro.service.client import AuditClient
 from repro.service.server import (
@@ -22,6 +38,8 @@ from repro.service.server import (
     pool_answer,
     tx_answer,
 )
+
+from test_columnar import flip_columnar_version, restamp_crcs
 
 
 def _raw(host, port, method, path, body=None, headers=None):
@@ -287,12 +305,152 @@ class TestAnnotations:
             service.stop()
 
 
+def _torn_snapshot_offsets(sidecar):
+    """Point the last snapshot past the stored rows (CRCs re-stamped)."""
+    store = open_columns(sidecar)
+    column = store["snap_start"]
+    offset = column.offset + (len(column) - 1) * column.itemsize
+    torn = np.array([10**9], dtype=column.dtype).tobytes()
+    del store, column
+    raw = bytearray(sidecar.read_bytes())
+    raw[offset : offset + len(torn)] = torn
+    sidecar.write_bytes(bytes(raw))
+    restamp_crcs(sidecar)
+
+
+def _raise_txid_mismatch(store):
+    raise DatasetCorruptionError(store.path, "txid mismatch at record 0")
+
+
+@contextmanager
+def _served(path, wal_dir):
+    """A client of an HTTP-served :meth:`AuditService.from_dataset_file`."""
+    service = AuditService.from_dataset_file(
+        path, wal_dir=wal_dir, checkpoint_every=100, fsync=False
+    )
+    service.recover()
+    server = make_http_server(service)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield AuditClient(host, port)
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.stop()
+
+
+def _answers(client, dataset) -> dict:
+    """/query/tx, /query/pool and /audit responses, annotations included."""
+    txids = sorted(dataset.tx_records)
+    return {
+        "tx": [client.query_tx(t) for t in txids[::25] + ["never-seen"]],
+        "pool": [client.query_pool(e.pool) for e in dataset.hash_rates()],
+        "audit": client.audit(),
+    }
+
+
 class TestFromDatasetFile:
+    """``serve --dataset``: the observer context, through the twin if intact."""
+
+    @pytest.fixture()
+    def pair(self, small_dataset_a, tmp_path):
+        """A gzip export with its columnar twin beside it."""
+        path = save_dataset(small_dataset_a, tmp_path / "twin" / "a.json.gz")
+        save_columnar(small_dataset_a, columnar_sidecar(path))
+        return path
+
+    @pytest.fixture(scope="class")
+    def gzip_answers(self, small_dataset_a, tmp_path_factory):
+        """Answers of a gzip-only service after the whole chain."""
+        tmp = tmp_path_factory.mktemp("gzip-only")
+        path = save_dataset(small_dataset_a, tmp / "a.json.gz")
+        feed = list(stream_blocks(small_dataset_a))
+        with _served(path, tmp / "wal") as client:
+            client.stream(feed)
+            client.wait_applied(feed[-1][0])
+            return _answers(client, small_dataset_a)
+
+    def test_twin_and_gzip_services_answer_alike_at_every_height(
+        self, small_dataset_a, pair, tmp_path
+    ):
+        gzip_only = save_dataset(small_dataset_a, tmp_path / "gz" / "a.json.gz")
+        feed = list(stream_blocks(small_dataset_a))
+        cuts = [len(feed) // 3, 2 * len(feed) // 3, len(feed)]
+        with obs.tracing(reset=True):
+            with _served(pair, tmp_path / "wal-twin") as twin_client:
+                with _served(gzip_only, tmp_path / "wal-gz") as gz_client:
+                    start = 0
+                    for cut in cuts:
+                        for client in (twin_client, gz_client):
+                            client.stream(feed[start:cut])
+                            client.wait_applied(feed[cut - 1][0])
+                        assert _answers(twin_client, small_dataset_a) == _answers(
+                            gz_client, small_dataset_a
+                        )
+                        start = cut
+                    snap = obs.snapshot()
+        counters, spans = snap["counters"], snap["spans"]
+        # One twin load (its gzip never parsed), one gzip load; neither
+        # service decodes the file's chain.
+        assert spans["service.load"]["count"] == 2
+        assert spans["columnar.verify"]["count"] == 1
+        assert counters["dataset.decode.snapshots"] == 1
+        assert counters["dataset.decode.tx_records"] == 1
+        assert "dataset.decode.chain" not in counters
+        assert "dataset.twin_rejected" not in counters
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            "flipped_byte",
+            "columnar_version",
+            "txid_cross_check",
+            "torn_snapshot_offsets",
+        ],
+    )
+    def test_broken_twin_falls_back_to_the_gzip(
+        self, small_dataset_a, pair, tmp_path, gzip_answers, damage, monkeypatch
+    ):
+        sidecar = columnar_sidecar(pair)
+        if damage == "flipped_byte":
+            raw = bytearray(sidecar.read_bytes())
+            raw[open_columns(sidecar)["stx_fee"].offset] ^= 0xFF
+            sidecar.write_bytes(bytes(raw))
+        elif damage == "columnar_version":
+            flip_columnar_version(sidecar)
+        elif damage == "txid_cross_check":
+            # The txid recomputation guards the chain, which a service
+            # never decodes; stand in for any cross-check of the parts it
+            # does decode failing the same way.
+            monkeypatch.setitem(
+                columnar._PART_DECODERS, "tx_records", _raise_txid_mismatch
+            )
+        else:
+            _torn_snapshot_offsets(sidecar)
+        feed = list(stream_blocks(small_dataset_a))
+        with obs.tracing(reset=True):
+            with _served(pair, tmp_path / "wal") as client:
+                counters = obs.snapshot()["counters"]
+                client.stream(feed)
+                client.wait_applied(feed[-1][0])
+                assert _answers(client, small_dataset_a) == gzip_answers
+        assert counters["dataset.twin_rejected"] == 1
+
+    def test_npz_dataset_path_is_served(
+        self, small_dataset_a, pair, tmp_path, gzip_answers
+    ):
+        pair.unlink()  # the npz stands alone
+        feed = list(stream_blocks(small_dataset_a))
+        with _served(columnar_sidecar(pair), tmp_path / "wal") as client:
+            client.stream(feed)
+            client.wait_applied(feed[-1][0])
+            assert _answers(client, small_dataset_a) == gzip_answers
+
     def test_served_context_is_frozen_and_collector_restored(
         self, small_dataset_a, tmp_path
     ):
-        from repro.datasets.io import save_dataset
-
         path = save_dataset(small_dataset_a, tmp_path / "a.json.gz")
         # Nothing frozen before the load, so the count below is its own.
         gc.unfreeze()
@@ -304,3 +462,37 @@ class TestFromDatasetFile:
             assert gc.get_freeze_count() > 0
         finally:
             gc.unfreeze()
+
+    def test_twin_loaded_context_is_decoded_inside_the_freeze(
+        self, pair, tmp_path
+    ):
+        # Freeze what exists, so the count grows by what the load makes.
+        gc.freeze()
+        before = gc.get_freeze_count()
+        try:
+            service = AuditService.from_dataset_file(
+                pair, wal_dir=tmp_path / "wal", fsync=False
+            )
+            frozen = gc.get_freeze_count() - before
+            assert gc.isenabled()
+        finally:
+            gc.unfreeze()
+        context = service.auditor.dataset
+        rows = {id(tx) for snapshot in context.snapshots for tx in snapshot.txs}
+        # The decoded snapshot rows and tx records (the originals behind
+        # the service's commit-cleared copies) were all frozen.
+        assert frozen >= len(rows) + len(context.tx_records)
+
+    def test_dataset_export_removes_a_stale_twin(self, tmp_path, capsys):
+        from repro.cli import main
+
+        out = tmp_path / "a.json.gz"
+        stale = columnar_sidecar(out)
+        stale.write_bytes(b"a twin of an older export")
+        argv = ["dataset", "A", "--scale", "0.06", "--out", str(out)]
+        assert main(argv) == 0
+        assert not stale.exists()
+        assert main(argv + ["--columnar", str(stale)]) == 0
+        loaded = load_dataset_file(out)
+        assert loaded.columnar is not None
+        assert dataset_to_dict(loaded) == dataset_to_dict(load_dataset(out))
